@@ -2,7 +2,8 @@
 # Repository gate: formatting, lints, and the tier-1 verify (ROADMAP.md).
 # Run from the repository root. Fails fast on the first broken stage.
 #
-#   ./ci.sh          — the standard gate
+#   ./ci.sh          — the standard gate (includes building the
+#                      perfbench/ wall-clock benchmark package)
 #   ./ci.sh --chaos  — additionally runs the seeded-torture block:
 #                      mutation smoke (both protocol faults must be found
 #                      and shrunk; output includes the reproducing seed),
@@ -17,7 +18,8 @@
 #                      oracles. The nightly block (500 seeds per model
 #                      per runtime) is documented in EXPERIMENTS.md
 #                      §Verification.
-#   ./ci.sh --bench  — additionally runs the minos-bench quick sweep,
+#   ./ci.sh --bench  — additionally runs the perfbench package tests and
+#                      the minos-bench quick sweep,
 #                      writes BENCH_results.json, and reruns the sweep
 #                      with --compare against the file it just wrote.
 #                      Both bench runtimes are deterministic, so the
@@ -56,6 +58,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> perfbench: build the wall-clock benchmark package"
+# perfbench/ is a workspace of its own that builds against the crates'
+# public names by path, so the workspace gate above cannot see a break
+# there.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> trace assembly: 3-process TCP cluster -> skew-corrected causal timelines"
 # Spawn a real multi-process cluster (one clock epoch per process), push
@@ -145,6 +153,9 @@ if [ "$CHAOS" -eq 1 ]; then
 fi
 
 if [ "$BENCH" -eq 1 ]; then
+    echo "==> bench: perfbench package tests"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
     echo "==> bench: build minos-bench"
     cargo build --release -p minos-bench
     BENCH_BIN=target/release/minos-bench

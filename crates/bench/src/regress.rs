@@ -16,11 +16,12 @@
 //! — which is exactly the `ci.sh --bench` gate.
 
 use crate::SEED;
-use minos_core::loopback::{BCluster, OCluster};
+use minos_core::loopback::{BCluster, Cluster, OCluster};
 use minos_core::obs::json::quoted;
 use minos_core::obs::{
     analyze, shared, Category, GaugeKind, HistogramSet, Json, MetricsSink, RingRecorder,
 };
+use minos_core::runtime::Protocol;
 use minos_net::{
     run_observed, run_observed_sharded, run_open_loop_sharded, run_rolling_restart, run_slo_curve,
     run_with_clients, Arch, ParMode,
@@ -375,6 +376,43 @@ pub fn sweep_loopback(quick: bool) -> Vec<BenchPoint> {
     points
 }
 
+/// One client operation of the loopback op mix.
+enum DriveOp {
+    Write(NodeId, Key, Option<ScopeId>),
+    Read(NodeId, Key),
+    Persist(NodeId, ScopeId),
+}
+
+/// Submits `plan` to `cl` with `sinks` attached, runs it dry, and returns
+/// the completion count and the gauges.
+fn drive_loopback<P: Protocol>(
+    mut cl: Cluster<P>,
+    sinks: Vec<minos_core::obs::SharedSink>,
+    plan: &[DriveOp],
+) -> (u64, minos_core::obs::GaugeSet) {
+    cl.attach_tracer(sinks);
+    for op in plan {
+        match *op {
+            DriveOp::Write(n, k, s) => {
+                cl.submit_write(n, k, Value::from(vec![0xA5u8; 32]), s);
+            }
+            DriveOp::Read(n, k) => {
+                cl.submit_read(n, k);
+            }
+            DriveOp::Persist(n, s) => {
+                cl.submit_persist_scope(n, s);
+            }
+        }
+    }
+    cl.run();
+    // Eventual/Scope persists complete in the background; release them
+    // so persist gauge/trace state settles before snapshotting.
+    while cl.release_persists() > 0 {
+        cl.run();
+    }
+    (cl.completions().len() as u64, cl.gauges().clone())
+}
+
 fn loopback_point(p: PersistencyModel, offload: bool, quick: bool) -> BenchPoint {
     let nodes = 3usize;
     let keys = 64u64;
@@ -386,11 +424,6 @@ fn loopback_point(p: PersistencyModel, offload: bool, quick: bool) -> BenchPoint
 
     // The op mix: three writes then a read, round-robin over nodes and
     // keys; Scope runs tag writes and flush each scope every 40 ops.
-    enum DriveOp {
-        Write(NodeId, Key, Option<ScopeId>),
-        Read(NodeId, Key),
-        Persist(NodeId, ScopeId),
-    }
     let mut plan: Vec<DriveOp> = Vec::new();
     for i in 0..ops {
         let node = NodeId((i % nodes as u64) as u16);
@@ -405,49 +438,10 @@ fn loopback_point(p: PersistencyModel, offload: bool, quick: bool) -> BenchPoint
             plan.push(DriveOp::Persist(node, ScopeId(((i / 40) % 4) as u32)));
         }
     }
-    let payload = || Value::from(vec![0xA5u8; 32]);
-
     let (completions, gauges) = if offload {
-        let mut cl = OCluster::new(nodes, model);
-        cl.attach_tracer(sinks);
-        for op in &plan {
-            match *op {
-                DriveOp::Write(n, k, s) => {
-                    cl.submit_write(n, k, payload(), s);
-                }
-                DriveOp::Read(n, k) => {
-                    cl.submit_read(n, k);
-                }
-                DriveOp::Persist(n, s) => {
-                    cl.submit_persist_scope(n, s);
-                }
-            }
-        }
-        cl.run();
-        (cl.completions().len() as u64, cl.gauges().clone())
+        drive_loopback(OCluster::new(nodes, model), sinks, &plan)
     } else {
-        let mut cl = BCluster::new(nodes, model);
-        cl.attach_tracer(sinks);
-        for op in &plan {
-            match *op {
-                DriveOp::Write(n, k, s) => {
-                    cl.submit_write(n, k, payload(), s);
-                }
-                DriveOp::Read(n, k) => {
-                    cl.submit_read(n, k);
-                }
-                DriveOp::Persist(n, s) => {
-                    cl.submit_persist_scope(n, s);
-                }
-            }
-        }
-        cl.run();
-        // Eventual/Scope persists complete in the background; release
-        // them so persist gauge/trace state settles before snapshotting.
-        while cl.release_persists() > 0 {
-            cl.run();
-        }
-        (cl.completions().len() as u64, cl.gauges().clone())
+        drive_loopback(BCluster::new(nodes, model), sinks, &plan)
     };
 
     let records = ring.lock().expect("ring poisoned").to_vec();

@@ -172,7 +172,7 @@ pub(crate) fn spawn_node(
 struct NodeLoop {
     node: NodeId,
     engine: NodeEngine,
-    dispatcher: Dispatcher,
+    dispatcher: Dispatcher<NodeEngine>,
     counters: TransportCounters,
     durable: DurableState,
     cfg: ClusterConfig,

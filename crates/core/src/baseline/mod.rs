@@ -539,6 +539,7 @@ impl NodeEngine {
     /// Records currently holding an RDLock or WRLock (the lock-table
     /// resource gauge).
     #[must_use]
+    #[inline]
     pub fn locked_records(&self) -> usize {
         self.store.locked_records()
     }

@@ -1,15 +1,15 @@
 //! Observability for the unified runtime: structured protocol tracing and
 //! per-op latency histograms, zero-cost when disabled.
 //!
-//! The [`runtime`](crate::runtime) dispatchers are the single choke point
-//! every harness routes protocol actions through, so they are also the
+//! The [`runtime`](crate::runtime) dispatcher is the single choke point
+//! every harness routes protocol actions through, so it is also the
 //! single instrumentation point: a [`Tracer`] installed on a
-//! [`Dispatcher`](crate::runtime::Dispatcher) /
-//! [`ODispatcher`](crate::runtime::ODispatcher) emits one [`TraceRecord`]
+//! [`Dispatcher`](crate::runtime::Dispatcher) of either protocol emits
+//! one [`TraceRecord`]
 //! per protocol-event boundary — op admitted, coordinator send, follower
 //! ACK receipt, persist start/complete, batch flush, broadcast fan-out —
 //! into any number of shared [`TraceSink`]s. With no tracer installed
-//! (the default) the dispatchers only pay an `Option` check per action.
+//! (the default) the dispatcher only pays an `Option` check per action.
 //!
 //! Three sinks ship in [`sinks`]:
 //!
@@ -54,8 +54,8 @@ pub use json::Json;
 pub use replay::{analyze, format_report, parse_jsonl, Category, OpTrace};
 pub use sinks::{JsonlWriter, MetricsSink, RingRecorder};
 
-use crate::event::{Action, Event, ReqId};
-use crate::offload::{OAction, OEvent, Side};
+use crate::event::ReqId;
+use crate::offload::Side;
 use minos_types::{Key, MessageKind, NodeId, ScopeId, Ts};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -424,189 +424,6 @@ impl Tracer {
                 s.flush();
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Classification: which engine inputs/outputs constitute trace
-// boundaries. Pure and allocation-free; called by the dispatchers only
-// when a tracer is installed.
-
-/// The trace boundary a MINOS-B input event crosses, if any.
-pub(crate) fn trace_of_event(ev: &Event) -> Option<TraceEvent> {
-    match ev {
-        Event::ClientWrite {
-            key, req, scope, ..
-        } => Some(TraceEvent::OpAdmitted {
-            op: OpKind::Write,
-            req: *req,
-            key: Some(*key),
-            scope: *scope,
-        }),
-        Event::ClientRead { key, req } => Some(TraceEvent::OpAdmitted {
-            op: OpKind::Read,
-            req: *req,
-            key: Some(*key),
-            scope: None,
-        }),
-        Event::ClientPersistScope { req, scope } => Some(TraceEvent::OpAdmitted {
-            op: OpKind::PersistScope,
-            req: *req,
-            key: None,
-            scope: Some(*scope),
-        }),
-        Event::StartWrite { key, .. } => Some(TraceEvent::WriteStarted { key: *key }),
-        Event::Message { from, msg } => Some(TraceEvent::MsgReceived {
-            from: *from,
-            kind: msg.kind(),
-            key: msg.key(),
-        }),
-        Event::PersistDone { key, .. } => Some(TraceEvent::PersistCompleted { key: *key }),
-    }
-}
-
-/// The trace boundary a MINOS-B output action crosses, if any.
-/// `fanout_dests` carries the destination count the dispatcher computed.
-pub(crate) fn trace_of_action(act: &Action, fanout_dests: usize) -> Option<TraceEvent> {
-    match act {
-        Action::Send { to, msg } => Some(TraceEvent::MsgSent {
-            to: *to,
-            kind: msg.kind(),
-            key: msg.key(),
-        }),
-        Action::SendToFollowers { msg } => Some(TraceEvent::FanOut {
-            dests: u32::try_from(fanout_dests).unwrap_or(u32::MAX),
-            kind: msg.kind(),
-            key: msg.key(),
-        }),
-        Action::Persist {
-            key, background, ..
-        } => Some(TraceEvent::PersistStarted {
-            key: *key,
-            background: *background,
-        }),
-        Action::WriteDone {
-            req,
-            key,
-            ts,
-            obsolete,
-        } => Some(TraceEvent::OpCompleted {
-            op: OpKind::Write,
-            req: *req,
-            key: Some(*key),
-            obsolete: *obsolete,
-            ts: Some(*ts),
-        }),
-        Action::ReadDone { req, key, ts, .. } => Some(TraceEvent::OpCompleted {
-            op: OpKind::Read,
-            req: *req,
-            key: Some(*key),
-            obsolete: false,
-            ts: Some(*ts),
-        }),
-        Action::PersistScopeDone { req, .. } => Some(TraceEvent::OpCompleted {
-            op: OpKind::PersistScope,
-            req: *req,
-            key: None,
-            obsolete: false,
-            ts: None,
-        }),
-        Action::Defer { .. } | Action::Redirect { .. } | Action::Meta(_) => None,
-    }
-}
-
-/// The trace boundary a MINOS-O input event crosses, if any.
-pub(crate) fn trace_of_oevent(ev: &OEvent) -> Option<TraceEvent> {
-    match ev {
-        OEvent::ClientWrite {
-            key, req, scope, ..
-        } => Some(TraceEvent::OpAdmitted {
-            op: OpKind::Write,
-            req: *req,
-            key: Some(*key),
-            scope: *scope,
-        }),
-        OEvent::ClientRead { key, req } => Some(TraceEvent::OpAdmitted {
-            op: OpKind::Read,
-            req: *req,
-            key: Some(*key),
-            scope: None,
-        }),
-        OEvent::ClientPersistScope { req, scope } => Some(TraceEvent::OpAdmitted {
-            op: OpKind::PersistScope,
-            req: *req,
-            key: None,
-            scope: Some(*scope),
-        }),
-        OEvent::HostStart { key, .. } => Some(TraceEvent::WriteStarted { key: *key }),
-        OEvent::NetMessage { from, msg } => Some(TraceEvent::MsgReceived {
-            from: *from,
-            kind: msg.kind(),
-            key: msg.key(),
-        }),
-        OEvent::VfifoDrained { key, .. } => Some(TraceEvent::FifoDrained {
-            durable: false,
-            key: *key,
-        }),
-        OEvent::DfifoDrained { key, .. } => Some(TraceEvent::FifoDrained {
-            durable: true,
-            key: *key,
-        }),
-        // The PCIe crossing is traced once, at enqueue.
-        OEvent::PcieFromHost(_) | OEvent::PcieFromSnic(_) => None,
-    }
-}
-
-/// The trace boundary a MINOS-O output action crosses, if any.
-pub(crate) fn trace_of_oaction(act: &OAction, fanout_dests: usize) -> Option<TraceEvent> {
-    match act {
-        OAction::Send { to, msg } => Some(TraceEvent::MsgSent {
-            to: *to,
-            kind: msg.kind(),
-            key: msg.key(),
-        }),
-        OAction::SendToFollowers { msg } => Some(TraceEvent::FanOut {
-            dests: u32::try_from(fanout_dests).unwrap_or(u32::MAX),
-            kind: msg.kind(),
-            key: msg.key(),
-        }),
-        OAction::Pcie { from, .. } => Some(TraceEvent::PcieCrossing { from: *from }),
-        OAction::VfifoEnqueue { key, .. } => Some(TraceEvent::FifoEnqueued {
-            durable: false,
-            key: *key,
-        }),
-        OAction::DfifoEnqueue { key, .. } => Some(TraceEvent::FifoEnqueued {
-            durable: true,
-            key: *key,
-        }),
-        OAction::WriteDone {
-            req,
-            key,
-            ts,
-            obsolete,
-        } => Some(TraceEvent::OpCompleted {
-            op: OpKind::Write,
-            req: *req,
-            key: Some(*key),
-            obsolete: *obsolete,
-            ts: Some(*ts),
-        }),
-        OAction::ReadDone { req, key, ts, .. } => Some(TraceEvent::OpCompleted {
-            op: OpKind::Read,
-            req: *req,
-            key: Some(*key),
-            obsolete: false,
-            ts: Some(*ts),
-        }),
-        OAction::PersistScopeDone { req, .. } => Some(TraceEvent::OpCompleted {
-            op: OpKind::PersistScope,
-            req: *req,
-            key: None,
-            obsolete: false,
-            ts: None,
-        }),
-        OAction::CoherenceTransfer { key } => Some(TraceEvent::CoherenceTransfer { key: *key }),
-        OAction::Defer { .. } | OAction::Meta { .. } => None,
     }
 }
 

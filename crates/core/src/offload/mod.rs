@@ -531,6 +531,7 @@ impl ONodeEngine {
     /// Records currently holding an RDLock or WRLock (the lock-table
     /// resource gauge).
     #[must_use]
+    #[inline]
     pub fn locked_records(&self) -> usize {
         self.store.locked_records()
     }

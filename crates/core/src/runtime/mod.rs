@@ -9,17 +9,26 @@
 //!
 //! This module owns the single canonical interpretation:
 //!
-//! * [`Dispatcher`] (MINOS-B) and [`ODispatcher`] (MINOS-O) feed an event
-//!   to an engine and walk the resulting actions exactly once, translating
-//!   each into a call on a harness-provided handler and keeping protocol
-//!   counters ([`DispatchStats`]/[`ODispatchStats`]) as they go. Fan-out
-//!   destination computation — replicas of a key for MINOS-B, all peer
-//!   SmartNICs for MINOS-O — lives here, not in the harnesses.
+//! * [`Protocol`] is the one interface MINOS-B ([`crate::NodeEngine`])
+//!   and MINOS-O ([`crate::ONodeEngine`]) both implement: event, action
+//!   and counter types, client-event constructors, the trace-boundary
+//!   mapping, and — through their [`Handler`] impls — the per-action
+//!   match. Every generic harness is written once against it.
+//! * [`Dispatcher<P>`](Dispatcher) feeds an event to an engine and walks
+//!   the resulting actions exactly once, translating each into a call on
+//!   a harness-provided handler and keeping the protocol's counters
+//!   ([`DispatchStats`]/[`ODispatchStats`]) as it goes. Fan-out
+//!   destination computation — replicas of a key — lives here, not in
+//!   the harnesses.
 //! * [`Transport`] is the messaging half of a handler: `send` one protocol
 //!   message, `broadcast` one message to a destination set, and `flush`
 //!   at the end of a dispatch (the batch boundary).
-//! * [`ActionSink`]/[`OSink`] are the local half: persists, deferred
-//!   events, client completions, redirects and timing hints.
+//! * [`ActionSink`]/[`OSink`] are the local half: persists, PCIe
+//!   descriptors, FIFO enqueues, deferred events, client completions,
+//!   redirects and timing hints. Harnesses without a cost model implement
+//!   [`Immediate`] instead and dispatch with
+//!   [`Protocol::dispatch_immediate`], which feeds every local effect
+//!   straight back as an event.
 //! * [`Batched`] is transport middleware implementing the paper's Fig. 12
 //!   *batching* and *broadcast* NIC capabilities for the live runtimes:
 //!   it coalesces the messages of one dispatch into per-destination
@@ -30,9 +39,9 @@
 //! that gate sends on earlier actions of the same dispatch (the MINOS-O
 //! simulator gates ACKs on its FIFO enqueues) can rely on that.
 //!
-//! Being the single choke point also makes the dispatchers the single
+//! Being the single choke point also makes the dispatcher the single
 //! *instrumentation* point: a [`crate::obs::Tracer`] installed
-//! via [`Dispatcher::set_tracer`] / [`ODispatcher::set_tracer`] emits a
+//! via [`Dispatcher::set_tracer`] emits a
 //! structured [`crate::obs::TraceEvent`] at every protocol-event
 //! boundary, in every harness, from one piece of code. Without a tracer
 //! (the default) the only cost is an `Option` discriminant check.
@@ -43,16 +52,17 @@
 
 mod batch;
 mod chaos;
+mod protocol;
 mod router;
 
 pub use batch::{BatchPolicy, Batched, FrameTransport, TransportCounters};
 pub use chaos::{ChaosNet, ChaosState};
+pub use protocol::{Completion, Counters, Handler, Immediate, Protocol};
 pub use router::ShardRouter;
 
-use crate::baseline::NodeEngine;
 use crate::event::{Action, DelayClass, Event, MetaOp, ReqId};
-use crate::obs::{self, TraceEvent, TraceMeta, Tracer};
-use crate::offload::{OAction, OEvent, ONodeEngine, PcieMsg, Side};
+use crate::obs::{TraceEvent, TraceMeta, Tracer};
+use crate::offload::{OAction, OEvent, PcieMsg, Side};
 use minos_types::wire::TraceCtx;
 use minos_types::{Key, Message, NodeId, ScopeId, Ts, Value};
 
@@ -181,7 +191,7 @@ impl MetaStats {
     }
 }
 
-/// Per-node protocol counters kept by [`Dispatcher`]. Identical workloads
+/// Per-node protocol counters kept by a MINOS-B [`Dispatcher`]. Identical workloads
 /// must produce identical stats in every harness — the cross-harness
 /// parity tests assert exactly that.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -224,19 +234,29 @@ impl DispatchStats {
     }
 }
 
-/// The canonical MINOS-B action interpreter.
+/// The canonical action interpreter, for either protocol.
 ///
 /// One dispatcher serves one engine (it keeps that node's
-/// [`DispatchStats`]); harnesses that re-create handlers per step keep
+/// [`Protocol::Stats`]); harnesses that re-create handlers per step keep
 /// the dispatcher across steps so counters accumulate.
-#[derive(Debug, Clone, Default)]
-pub struct Dispatcher {
-    stats: DispatchStats,
-    scratch: Vec<Action>,
+#[derive(Debug, Clone)]
+pub struct Dispatcher<P: Protocol> {
+    stats: P::Stats,
+    scratch: Vec<P::Action>,
     tracer: Option<Tracer>,
 }
 
-impl Dispatcher {
+impl<P: Protocol> Default for Dispatcher<P> {
+    fn default() -> Self {
+        Dispatcher {
+            stats: P::Stats::default(),
+            scratch: Vec::new(),
+            tracer: None,
+        }
+    }
+}
+
+impl<P: Protocol> Dispatcher<P> {
     /// A fresh dispatcher with zeroed stats and no tracer.
     #[must_use]
     pub fn new() -> Self {
@@ -245,7 +265,7 @@ impl Dispatcher {
 
     /// This node's accumulated protocol counters.
     #[must_use]
-    pub fn stats(&self) -> &DispatchStats {
+    pub fn stats(&self) -> &P::Stats {
         &self.stats
     }
 
@@ -260,26 +280,11 @@ impl Dispatcher {
         self.tracer.as_mut()
     }
 
-    /// Emits the trace boundary for an outgoing action, if tracing.
-    fn trace_action(&mut self, engine: &NodeEngine, act: &Action) {
-        if self.tracer.is_some() {
-            let dests = match act {
-                Action::SendToFollowers { msg } => engine.fanout_targets(msg.key()).len(),
-                _ => 0,
-            };
-            if let Some(ev) = obs::trace_of_action(act, dests) {
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.emit(ev);
-                }
-            }
-        }
-    }
-
     /// Emits the batch-flush boundary if the dispatch put traffic on the
-    /// wire (`wire0` is `sends + fanouts` before the dispatch).
+    /// wire (`wire0` is [`Counters::wire_msgs`] before the dispatch).
     fn trace_flush(&mut self, wire0: u64) {
         if let Some(tr) = self.tracer.as_mut() {
-            let sent = self.stats.sends + self.stats.fanouts - wire0;
+            let sent = self.stats.wire_msgs() - wire0;
             if sent > 0 {
                 tr.emit(TraceEvent::BatchFlushed {
                     sends: u32::try_from(sent).unwrap_or(u32::MAX),
@@ -292,12 +297,7 @@ impl Dispatcher {
     /// through `handler`, in emission order, ending with a
     /// [`Transport::flush`]. Equivalent to [`Dispatcher::dispatch_ctx`]
     /// with no inbound trace context.
-    pub fn dispatch<H: Transport + ActionSink>(
-        &mut self,
-        engine: &mut NodeEngine,
-        event: Event,
-        handler: &mut H,
-    ) {
+    pub fn dispatch<H: Handler<P>>(&mut self, engine: &mut P, event: P::Event, handler: &mut H) {
         self.dispatch_ctx(engine, event, None, handler);
     }
 
@@ -313,22 +313,18 @@ impl Dispatcher {
     /// [`Transport::set_ctx`] so wire transports can attach it to this
     /// dispatch's frames. Without a tracer the inbound context is
     /// forwarded unchanged, so untraced relay nodes do not sever a trace.
-    pub fn dispatch_ctx<H: Transport + ActionSink>(
+    pub fn dispatch_ctx<H: Handler<P>>(
         &mut self,
-        engine: &mut NodeEngine,
-        event: Event,
+        engine: &mut P,
+        event: P::Event,
         ctx: Option<TraceCtx>,
         handler: &mut H,
     ) {
         let mut out_ctx = ctx.filter(|c| !c.is_empty());
         if let Some(tr) = self.tracer.as_mut() {
             let inbound = out_ctx.unwrap_or_default();
-            let admission = matches!(
-                event,
-                Event::ClientWrite { .. }
-                    | Event::ClientRead { .. }
-                    | Event::ClientPersistScope { .. }
-            );
+            let boundary = P::trace_of_event(&event);
+            let admission = matches!(boundary, Some(TraceEvent::OpAdmitted { .. }));
             let trace_id = if inbound.trace_id != 0 {
                 inbound.trace_id
             } else if admission {
@@ -343,7 +339,7 @@ impl Dispatcher {
                 parent: inbound.span,
                 remote_ns: inbound.origin_ns,
             });
-            if let Some(ev) = obs::trace_of_event(&event) {
+            if let Some(ev) = boundary {
                 tr.emit(ev);
             }
             // The remote clock belongs to the input boundary only; action
@@ -363,8 +359,8 @@ impl Dispatcher {
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
         engine.on_event(event, &mut out);
-        handler.begin(&out);
-        let wire0 = self.stats.sends + self.stats.fanouts;
+        handler.start(&out);
+        let wire0 = self.stats.wire_msgs();
         for act in out.drain(..) {
             self.apply(engine, act, handler);
         }
@@ -378,14 +374,14 @@ impl Dispatcher {
 
     /// Interprets an already-collected action batch — for harness paths
     /// that drive the engine outside `on_event` (failure-handling polls).
-    pub fn run_actions<H: Transport + ActionSink>(
+    pub fn run_actions<H: Handler<P>>(
         &mut self,
-        engine: &NodeEngine,
-        actions: Vec<Action>,
+        engine: &P,
+        actions: Vec<P::Action>,
         handler: &mut H,
     ) {
-        handler.begin(&actions);
-        let wire0 = self.stats.sends + self.stats.fanouts;
+        handler.start(&actions);
+        let wire0 = self.stats.wire_msgs();
         for act in actions {
             self.apply(engine, act, handler);
         }
@@ -393,63 +389,13 @@ impl Dispatcher {
         self.trace_flush(wire0);
     }
 
-    fn apply<H: Transport + ActionSink>(&mut self, engine: &NodeEngine, act: Action, h: &mut H) {
-        self.trace_action(engine, &act);
-        match act {
-            Action::Send { to, msg } => {
-                self.stats.sends += 1;
-                h.send(to, msg);
-            }
-            Action::SendToFollowers { msg } => {
-                let dests = engine.fanout_targets(msg.key());
-                self.stats.fanouts += 1;
-                self.stats.fanout_dests += dests.len() as u64;
-                h.broadcast(&dests, msg);
-            }
-            Action::Persist {
-                key,
-                ts,
-                value,
-                background,
-            } => {
-                self.stats.persists += 1;
-                h.persist(key, ts, value, background);
-            }
-            Action::Redirect { to, event } => {
-                self.stats.redirects += 1;
-                h.redirect(to, event);
-            }
-            Action::Defer { event, class } => {
-                self.stats.defers += 1;
-                h.defer(event, class);
-            }
-            Action::WriteDone {
-                req,
-                key,
-                ts,
-                obsolete,
-            } => {
-                self.stats.writes_done += 1;
-                h.write_done(req, key, ts, obsolete);
-            }
-            Action::ReadDone {
-                req,
-                key,
-                value,
-                ts,
-            } => {
-                self.stats.reads_done += 1;
-                h.read_done(req, key, value, ts);
-            }
-            Action::PersistScopeDone { req, scope } => {
-                self.stats.persist_scopes_done += 1;
-                h.persist_scope_done(req, scope);
-            }
-            Action::Meta(op) => {
-                self.stats.meta.record(&op);
-                h.meta(&op);
+    fn apply<H: Handler<P>>(&mut self, engine: &P, act: P::Action, handler: &mut H) {
+        if let Some(tr) = self.tracer.as_mut() {
+            if let Some(ev) = engine.trace_of_action(&act) {
+                tr.emit(ev);
             }
         }
+        handler.apply(engine, &mut self.stats, act);
     }
 }
 
@@ -491,7 +437,7 @@ pub trait OSink {
     fn coherence_transfer(&mut self, _key: Key) {}
 }
 
-/// Per-node protocol counters kept by [`ODispatcher`].
+/// Per-node protocol counters kept by a MINOS-O [`Dispatcher`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ODispatchStats {
     /// Unicast NIC-to-NIC messages emitted.
@@ -538,205 +484,6 @@ impl ODispatchStats {
         self.coherence_transfers += other.coherence_transfers;
         self.host_meta.merge(&other.host_meta);
         self.snic_meta.merge(&other.snic_meta);
-    }
-}
-
-/// The canonical MINOS-O action interpreter.
-#[derive(Debug, Clone, Default)]
-pub struct ODispatcher {
-    stats: ODispatchStats,
-    scratch: Vec<OAction>,
-    tracer: Option<Tracer>,
-}
-
-impl ODispatcher {
-    /// A fresh dispatcher with zeroed stats and no tracer.
-    #[must_use]
-    pub fn new() -> Self {
-        ODispatcher::default()
-    }
-
-    /// This node's accumulated protocol counters.
-    #[must_use]
-    pub fn stats(&self) -> &ODispatchStats {
-        &self.stats
-    }
-
-    /// Installs (or, with `None`, removes) the observability tracer.
-    pub fn set_tracer(&mut self, tracer: Option<Tracer>) {
-        self.tracer = tracer;
-    }
-
-    /// The installed tracer (harnesses flush its sinks at shutdown).
-    pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_mut()
-    }
-
-    /// See [`Dispatcher::trace_flush`].
-    fn trace_flush(&mut self, wire0: u64) {
-        if let Some(tr) = self.tracer.as_mut() {
-            let sent = self.stats.sends + self.stats.fanouts - wire0;
-            if sent > 0 {
-                tr.emit(TraceEvent::BatchFlushed {
-                    sends: u32::try_from(sent).unwrap_or(u32::MAX),
-                });
-            }
-        }
-    }
-
-    /// Feeds `event` to `engine` and interprets every resulting action
-    /// through `handler`, in emission order, ending with a
-    /// [`Transport::flush`]. Equivalent to [`ODispatcher::dispatch_ctx`]
-    /// with no inbound trace context.
-    pub fn dispatch<H: Transport + OSink>(
-        &mut self,
-        engine: &mut ONodeEngine,
-        event: OEvent,
-        handler: &mut H,
-    ) {
-        self.dispatch_ctx(engine, event, None, handler);
-    }
-
-    /// [`ODispatcher::dispatch`] with the trace context the event
-    /// arrived under — see [`Dispatcher::dispatch_ctx`] for semantics.
-    pub fn dispatch_ctx<H: Transport + OSink>(
-        &mut self,
-        engine: &mut ONodeEngine,
-        event: OEvent,
-        ctx: Option<TraceCtx>,
-        handler: &mut H,
-    ) {
-        let mut out_ctx = ctx.filter(|c| !c.is_empty());
-        if let Some(tr) = self.tracer.as_mut() {
-            let inbound = out_ctx.unwrap_or_default();
-            let admission = matches!(
-                event,
-                OEvent::ClientWrite { .. }
-                    | OEvent::ClientRead { .. }
-                    | OEvent::ClientPersistScope { .. }
-            );
-            let trace_id = if inbound.trace_id != 0 {
-                inbound.trace_id
-            } else if admission {
-                tr.mint_id()
-            } else {
-                0
-            };
-            let span = tr.mint_id();
-            tr.set_meta(TraceMeta {
-                trace_id,
-                span,
-                parent: inbound.span,
-                remote_ns: inbound.origin_ns,
-            });
-            if let Some(ev) = obs::trace_of_oevent(&event) {
-                tr.emit(ev);
-            }
-            let meta = tr.meta();
-            tr.set_meta(TraceMeta {
-                remote_ns: 0,
-                ..meta
-            });
-            out_ctx = Some(TraceCtx {
-                trace_id,
-                span,
-                origin_ns: tr.origin_ns(),
-            });
-        }
-        handler.set_ctx(out_ctx);
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        engine.on_event(event, &mut out);
-        handler.begin(&out);
-        let wire0 = self.stats.sends + self.stats.fanouts;
-        for act in out.drain(..) {
-            self.apply(engine, act, handler);
-        }
-        handler.flush();
-        self.trace_flush(wire0);
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.set_meta(TraceMeta::default());
-        }
-        self.scratch = out;
-    }
-
-    fn apply<H: Transport + OSink>(&mut self, engine: &ONodeEngine, act: OAction, h: &mut H) {
-        if self.tracer.is_some() {
-            let dests = match &act {
-                OAction::SendToFollowers { msg } => engine.fanout_targets(msg.key()).len(),
-                _ => 0,
-            };
-            if let Some(ev) = obs::trace_of_oaction(&act, dests) {
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.emit(ev);
-                }
-            }
-        }
-        match act {
-            OAction::Send { to, msg } => {
-                self.stats.sends += 1;
-                h.send(to, msg);
-            }
-            OAction::SendToFollowers { msg } => {
-                // The SNIC broadcast module fans out to the key's replica
-                // group — every peer when the store is fully replicated
-                // (the paper's MINOS-O shape), the shard's peers under a
-                // placement map.
-                let dests = engine.fanout_targets(msg.key());
-                self.stats.fanouts += 1;
-                self.stats.fanout_dests += dests.len() as u64;
-                h.broadcast(&dests, msg);
-            }
-            OAction::Pcie { from, msg } => {
-                self.stats.pcie_msgs += 1;
-                h.pcie(from, msg);
-            }
-            OAction::VfifoEnqueue { key, ts, bytes } => {
-                self.stats.vfifo_enqueues += 1;
-                h.vfifo_enqueue(key, ts, bytes);
-            }
-            OAction::DfifoEnqueue { key, ts, bytes } => {
-                self.stats.dfifo_enqueues += 1;
-                h.dfifo_enqueue(key, ts, bytes);
-            }
-            OAction::Defer { event } => {
-                self.stats.defers += 1;
-                h.defer(event);
-            }
-            OAction::WriteDone {
-                req,
-                key,
-                ts,
-                obsolete,
-            } => {
-                self.stats.writes_done += 1;
-                h.write_done(req, key, ts, obsolete);
-            }
-            OAction::ReadDone {
-                req,
-                key,
-                value,
-                ts,
-            } => {
-                self.stats.reads_done += 1;
-                h.read_done(req, key, value, ts);
-            }
-            OAction::PersistScopeDone { req, scope } => {
-                self.stats.persist_scopes_done += 1;
-                h.persist_scope_done(req, scope);
-            }
-            OAction::Meta { side, op } => {
-                match side {
-                    Side::Host => self.stats.host_meta.record(&op),
-                    Side::Snic => self.stats.snic_meta.record(&op),
-                }
-                h.meta(side, &op);
-            }
-            OAction::CoherenceTransfer { key } => {
-                self.stats.coherence_transfers += 1;
-                h.coherence_transfer(key);
-            }
-        }
     }
 }
 
@@ -790,6 +537,7 @@ pub fn coherence_transfer_count(actions: &[OAction]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NodeEngine, ONodeEngine};
     use minos_types::{DdpModel, PersistencyModel};
 
     /// A handler that records everything it is asked to do.
@@ -842,7 +590,7 @@ mod tests {
     fn write_fanout_goes_through_broadcast() {
         let model = DdpModel::lin(PersistencyModel::Eventual);
         let mut engine = NodeEngine::new(NodeId(0), 3, model);
-        let mut disp = Dispatcher::new();
+        let mut disp = Dispatcher::<NodeEngine>::new();
         let mut h = Recorder::default();
 
         disp.dispatch(
@@ -874,7 +622,7 @@ mod tests {
     fn read_completes_locally_and_counts() {
         let model = DdpModel::lin(PersistencyModel::Synchronous);
         let mut engine = NodeEngine::new(NodeId(0), 1, model);
-        let mut disp = Dispatcher::new();
+        let mut disp = Dispatcher::<NodeEngine>::new();
         let mut h = Recorder::default();
         disp.dispatch(
             &mut engine,
@@ -920,7 +668,7 @@ mod tests {
     fn offload_fanout_targets_all_peers() {
         let model = DdpModel::lin(PersistencyModel::Eventual);
         let mut engine = ONodeEngine::new(NodeId(1), 4, model);
-        let mut disp = ODispatcher::new();
+        let mut disp = Dispatcher::<ONodeEngine>::new();
         let mut h = ORecorder::default();
 
         disp.dispatch(
@@ -960,6 +708,131 @@ mod tests {
         assert_eq!(disp.stats().fanouts, 1);
         assert_eq!(disp.stats().fanout_dests, 3);
         assert!(disp.stats().pcie_msgs >= 1);
+    }
+
+    /// A zero-delay handler that records what the dispatcher hands the
+    /// transport: each dispatch's outgoing context, and a count of the
+    /// messages put on the wire. Local effects queue up to be fed back.
+    struct CtxProbe<P: Protocol> {
+        ctxs: Vec<Option<TraceCtx>>,
+        sent: usize,
+        local: Vec<P::Event>,
+    }
+
+    impl<P: Protocol> Transport for CtxProbe<P> {
+        fn send(&mut self, _to: NodeId, _msg: Message) {
+            self.sent += 1;
+        }
+        fn set_ctx(&mut self, ctx: Option<TraceCtx>) {
+            self.ctxs.push(ctx);
+        }
+    }
+
+    impl<P: Protocol> Immediate<P> for CtxProbe<P> {
+        fn node(&self) -> NodeId {
+            NodeId(0)
+        }
+        fn deliver(&mut self, _to: NodeId, event: P::Event) {
+            self.local.push(event);
+        }
+        fn done(&mut self, _done: Completion) {}
+    }
+
+    /// The dispatcher's trace-context contract, one body for both
+    /// protocols.
+    fn trace_ctx_contract<P: Protocol>() {
+        use crate::obs::{shared, RingRecorder, TraceClock};
+
+        let model = DdpModel::lin(PersistencyModel::Synchronous);
+        let ring = shared(RingRecorder::new(4096));
+        let records = || ring.lock().expect("ring").to_vec();
+        let mut engine = P::new(NodeId(0), 3, model);
+        let mut disp = Dispatcher::<P>::new();
+        disp.set_tracer(Some(Tracer::new(
+            NodeId(0),
+            TraceClock::sequence(),
+            vec![ring.clone()],
+        )));
+        let mut probe = CtxProbe::<P> {
+            ctxs: Vec::new(),
+            sent: 0,
+            local: Vec::new(),
+        };
+        let last_ctx = |p: &CtxProbe<P>| p.ctxs.last().copied().flatten().expect("ctx");
+
+        // A client admission with no inbound context mints a trace id,
+        // and the outgoing context carries it with this dispatch's span.
+        let read = P::client_read(Key(1), ReqId(1));
+        P::dispatch_immediate(&mut disp, &mut engine, read, None, &mut probe);
+        let recs = records();
+        assert!(matches!(recs[0].event, TraceEvent::OpAdmitted { .. }));
+        assert_ne!(recs[0].meta.trace_id, 0, "admission mints a trace id");
+        assert_eq!(recs[0].meta.parent, 0);
+        let out = last_ctx(&probe);
+        assert_eq!(
+            (out.trace_id, out.span),
+            (recs[0].meta.trace_id, recs[0].meta.span)
+        );
+
+        // An inbound context is adopted: same trace, its span as parent,
+        // its clock on the input boundary only.
+        let inbound = TraceCtx {
+            trace_id: 0xfeed,
+            span: 0x51,
+            origin_ns: 7,
+        };
+        let after_read = recs.len();
+        let write = P::client_write(Key(2), "v".into(), None, ReqId(2));
+        P::dispatch_immediate(&mut disp, &mut engine, write, Some(inbound), &mut probe);
+        let recs = records();
+        let admitted = &recs[after_read];
+        assert_eq!(admitted.meta.trace_id, 0xfeed);
+        assert_eq!(admitted.meta.parent, 0x51);
+        assert_eq!(admitted.meta.remote_ns, 7);
+        assert!(recs[after_read + 1..].iter().all(|r| r.meta.remote_ns == 0));
+        let out = last_ctx(&probe);
+        assert_eq!(out.trace_id, 0xfeed);
+        assert_eq!(out.span, admitted.meta.span);
+        assert_ne!(out.span, 0x51, "the dispatch mints its own span");
+
+        // Feed the write's local effects back until it reaches the wire:
+        // a dispatch ends with BatchFlushed exactly when it sent.
+        let mut wire_dispatches = 0;
+        while let Some(ev) = probe.local.pop() {
+            let (seen, sent) = (records().len(), probe.sent);
+            P::dispatch_immediate(&mut disp, &mut engine, ev, None, &mut probe);
+            let flushed = records()[seen..]
+                .iter()
+                .any(|r| matches!(r.event, TraceEvent::BatchFlushed { .. }));
+            assert_eq!(
+                flushed,
+                probe.sent > sent,
+                "BatchFlushed iff the dispatch sent"
+            );
+            wire_dispatches += usize::from(flushed);
+        }
+        assert!(wire_dispatches > 0, "the write reached the wire");
+        let flushed_reads = records()[..after_read]
+            .iter()
+            .any(|r| matches!(r.event, TraceEvent::BatchFlushed { .. }));
+        assert!(!flushed_reads, "a local read sends nothing");
+
+        // Without a tracer the inbound context reaches the transport
+        // unchanged, so an untraced relay does not sever the trace.
+        let mut plain = Dispatcher::<P>::new();
+        let read = P::client_read(Key(1), ReqId(3));
+        P::dispatch_immediate(&mut plain, &mut engine, read, Some(inbound), &mut probe);
+        assert_eq!(probe.ctxs.last(), Some(&Some(inbound)));
+    }
+
+    #[test]
+    fn trace_ctx_contract_baseline() {
+        trace_ctx_contract::<NodeEngine>();
+    }
+
+    #[test]
+    fn trace_ctx_contract_offload() {
+        trace_ctx_contract::<ONodeEngine>();
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The shard-routing dispatcher layer.
 //!
 //! A [`ShardRouter`] sits between a harness facade and its per-node
-//! [`Dispatcher`](crate::runtime::Dispatcher)/[`ODispatcher`](crate::runtime::ODispatcher)
-//! instances. It owns the three cluster-level decisions sharding adds —
-//! the engines themselves stay per-group:
+//! [`Dispatcher`](crate::runtime::Dispatcher) instances. It owns the
+//! three cluster-level decisions sharding adds — the engines themselves
+//! stay per-group:
 //!
 //! * **Key routing**: resolve each operation's key to its shard's replica
 //!   group and pick the node that serves it ([`ShardRouter::serving`]) —

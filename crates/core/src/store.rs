@@ -79,6 +79,7 @@ impl Store {
     /// lock-table-size resource gauge
     /// ([`GaugeKind::LockTableSize`](crate::obs::GaugeKind)).
     #[must_use]
+    #[inline]
     pub fn locked_records(&self) -> usize {
         self.records
             .values()

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct MinosKv {
     engines: Vec<NodeEngine>,
-    dispatchers: Vec<Dispatcher>,
+    dispatchers: Vec<Dispatcher<NodeEngine>>,
     durable: Vec<DurableState>,
     /// Per-node recovery cursor: the donor log position the node has
     /// replayed up to.

@@ -44,13 +44,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bsys;
 mod explore;
 pub mod invariants;
-mod osys;
+mod system;
 mod workload;
 
-pub use bsys::{check_baseline, check_baseline_no_snatch, check_baseline_replicated};
 pub use explore::{McReport, Violation};
-pub use osys::check_offload;
+pub use system::{
+    check_baseline, check_baseline_no_snatch, check_baseline_replicated, check_offload,
+};
 pub use workload::Workload;

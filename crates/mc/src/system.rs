@@ -1,4 +1,4 @@
-//! The MINOS-B system under check.
+//! The system under check, for either protocol.
 
 use crate::explore::{explore, hash_debug, McReport, System, Violation};
 use crate::invariants::{
@@ -6,18 +6,19 @@ use crate::invariants::{
     check_unlocked_agreement, legal_message, NodeView,
 };
 use crate::workload::{McOp, Workload};
-use minos_core::runtime::{ActionSink, Dispatcher, Transport};
-use minos_core::{DelayClass, Event, NodeEngine, ReqId};
-use minos_types::{DdpModel, Key, Message, NodeId, ScopeId, Ts, Value};
+use minos_core::runtime::{Completion, Dispatcher, Immediate, Protocol, Transport};
+use minos_core::{NodeEngine, ONodeEngine, ReqId};
+use minos_types::{DdpModel, Message, NodeId, ScopeId};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
 #[derive(Clone)]
-pub(crate) struct BSystem {
+pub(crate) struct McSystem<P: Protocol> {
     model: DdpModel,
-    engines: Vec<NodeEngine>,
+    engines: Vec<P>,
     /// Deliverable events: every interleaving of these is explored.
-    inflight: Vec<(NodeId, Event)>,
+    inflight: Vec<(NodeId, P::Event)>,
     /// `[PERSIST]sc` ops staged until all writes complete.
     staged: Vec<(NodeId, ScopeId, ReqId)>,
     expected_writes: usize,
@@ -30,25 +31,11 @@ pub(crate) struct BSystem {
     dispatch_violations: Vec<Violation>,
 }
 
-impl BSystem {
-    fn new(model: DdpModel, w: &Workload) -> Self {
-        Self::with_snatch(model, w, true)
-    }
-
-    fn with_snatch(model: DdpModel, w: &Workload, snatch: bool) -> Self {
-        Self::with_options(model, w, snatch, None)
-    }
-
-    fn with_options(model: DdpModel, w: &Workload, snatch: bool, replication: Option<u16>) -> Self {
-        let engines = (0..w.nodes)
-            .map(|i| {
-                let mut e = NodeEngine::new(NodeId(i as u16), w.nodes, model);
-                e.set_snatch_enabled(snatch);
-                e.set_replication_factor(replication);
-                e
-            })
-            .collect();
-        let mut sys = BSystem {
+impl<P: Protocol> McSystem<P> {
+    /// The system over `engines` (one per workload node), seeded with
+    /// `w`'s operations.
+    fn new(model: DdpModel, w: &Workload, engines: Vec<P>) -> Self {
+        let mut sys = McSystem {
             model,
             engines,
             inflight: Vec::new(),
@@ -71,19 +58,12 @@ impl BSystem {
                     scope,
                 } => {
                     sys.expected_writes += 1;
-                    sys.inflight.push((
-                        node,
-                        Event::ClientWrite {
-                            key,
-                            value,
-                            scope,
-                            req,
-                        },
-                    ));
+                    sys.inflight
+                        .push((node, P::client_write(key, value, scope, req)));
                 }
                 McOp::Read { node, key } => {
                     sys.expected_reads += 1;
-                    sys.inflight.push((node, Event::ClientRead { key, req }));
+                    sys.inflight.push((node, P::client_read(key, req)));
                 }
                 McOp::PersistScope { node, scope } => {
                     sys.expected_persists += 1;
@@ -94,9 +74,12 @@ impl BSystem {
         sys
     }
 
+    fn keys(&self) -> BTreeSet<minos_types::Key> {
+        self.engines.iter().flat_map(P::keys).collect()
+    }
+
     fn views(&self) -> Vec<NodeView> {
-        let keys: std::collections::BTreeSet<_> =
-            self.engines.iter().flat_map(|e| e.keys()).collect();
+        let keys = self.keys();
         self.engines
             .iter()
             .map(|e| NodeView {
@@ -115,21 +98,22 @@ impl BSystem {
     }
 }
 
-/// Dispatch handler for one model-checker transition: messages become
-/// deliverable in-flight events (every interleaving of which is
-/// explored), and each send is audited against the Table I condition 4a
-/// legal message set for the model under check.
-struct McBHandler<'a> {
+/// Dispatch handler for one model-checker transition: every effect —
+/// network, persist, PCIe, FIFO — becomes a deliverable in-flight event,
+/// so the explorer interleaves them freely, and each send is audited
+/// against the Table I condition 4a legal message set for the model
+/// under check.
+struct McHandler<'a, P: Protocol> {
     model: DdpModel,
     node: NodeId,
-    inflight: &'a mut Vec<(NodeId, Event)>,
+    inflight: &'a mut Vec<(NodeId, P::Event)>,
     violations: &'a mut Vec<Violation>,
     writes_done: &'a mut usize,
     reads_done: &'a mut usize,
     persists_done: &'a mut usize,
 }
 
-impl McBHandler<'_> {
+impl<P: Protocol> McHandler<'_, P> {
     fn audit(&mut self, msg: &Message, verb: &str) {
         if !legal_message(self.model, msg) {
             self.violations.push(Violation {
@@ -140,60 +124,41 @@ impl McBHandler<'_> {
     }
 }
 
-impl Transport for McBHandler<'_> {
+impl<P: Protocol> Transport for McHandler<'_, P> {
     fn send(&mut self, to: NodeId, msg: Message) {
         self.audit(&msg, "sent");
-        self.inflight.push((
-            to,
-            Event::Message {
-                from: self.node,
-                msg,
-            },
-        ));
+        self.inflight.push((to, P::net_message(self.node, msg)));
     }
 
     fn broadcast(&mut self, dests: &[NodeId], msg: Message) {
         self.audit(&msg, "fanned out");
         for &to in dests {
-            self.inflight.push((
-                to,
-                Event::Message {
-                    from: self.node,
-                    msg: msg.clone(),
-                },
-            ));
+            self.inflight
+                .push((to, P::net_message(self.node, msg.clone())));
         }
     }
 }
 
-impl ActionSink for McBHandler<'_> {
-    fn persist(&mut self, key: Key, ts: Ts, _value: Value, _background: bool) {
-        self.inflight
-            .push((self.node, Event::PersistDone { key, ts }));
+impl<P: Protocol> Immediate<P> for McHandler<'_, P> {
+    fn node(&self) -> NodeId {
+        self.node
     }
 
-    fn redirect(&mut self, to: NodeId, event: Event) {
+    fn deliver(&mut self, to: NodeId, event: P::Event) {
         self.inflight.push((to, event));
     }
 
-    fn defer(&mut self, event: Event, _class: DelayClass) {
-        self.inflight.push((self.node, event));
-    }
-
-    fn write_done(&mut self, _req: ReqId, _key: Key, _ts: Ts, _obsolete: bool) {
-        *self.writes_done += 1;
-    }
-
-    fn read_done(&mut self, _req: ReqId, _key: Key, _value: Value, _ts: Ts) {
-        *self.reads_done += 1;
-    }
-
-    fn persist_scope_done(&mut self, _req: ReqId, _scope: ScopeId) {
-        *self.persists_done += 1;
+    fn done(&mut self, done: Completion) {
+        match done {
+            Completion::Write { .. } => *self.writes_done += 1,
+            Completion::Read { .. } => *self.reads_done += 1,
+            Completion::PersistScope { .. } => *self.persists_done += 1,
+            Completion::MultiWrite { .. } => unreachable!("a dispatch never completes a barrier"),
+        }
     }
 }
 
-impl System for BSystem {
+impl<P: Protocol + Hash> System for McSystem<P> {
     fn deliverable(&self) -> usize {
         self.inflight.len()
     }
@@ -204,7 +169,7 @@ impl System for BSystem {
         // A fresh dispatcher per transition: the checker explores a tree
         // of cloned states, so cumulative statistics are meaningless.
         let mut dispatcher = Dispatcher::new();
-        let mut handler = McBHandler {
+        let mut handler = McHandler {
             model: next.model,
             node,
             inflight: &mut next.inflight,
@@ -213,12 +178,18 @@ impl System for BSystem {
             reads_done: &mut next.reads_done,
             persists_done: &mut next.persists_done,
         };
-        dispatcher.dispatch(&mut next.engines[node.0 as usize], ev, &mut handler);
+        P::dispatch_immediate(
+            &mut dispatcher,
+            &mut next.engines[node.0 as usize],
+            ev,
+            None,
+            &mut handler,
+        );
         // Clients issue [PERSIST]sc only after their writes returned.
         if next.writes_done == next.expected_writes && !next.staged.is_empty() {
             for (node, scope, req) in std::mem::take(&mut next.staged) {
                 next.inflight
-                    .push((node, Event::ClientPersistScope { scope, req }));
+                    .push((node, P::client_persist_scope(scope, req)));
             }
         }
         next
@@ -285,9 +256,7 @@ impl System for BSystem {
             });
         }
         // Replica convergence: every record equal across its replicas.
-        let keys: std::collections::BTreeSet<_> =
-            self.engines.iter().flat_map(|e| e.keys()).collect();
-        for key in keys {
+        for key in self.keys() {
             let values: Vec<_> = self
                 .engines
                 .iter()
@@ -308,11 +277,25 @@ impl System for BSystem {
     }
 }
 
+/// MINOS-B engines for `w`, with RDLock snatching and partial
+/// replication configured.
+fn b_engines(model: DdpModel, w: &Workload, snatch: bool, k: Option<u16>) -> Vec<NodeEngine> {
+    (0..w.nodes)
+        .map(|i| {
+            let mut e = NodeEngine::new(NodeId(i as u16), w.nodes, model);
+            e.set_snatch_enabled(snatch);
+            e.set_replication_factor(k);
+            e
+        })
+        .collect()
+}
+
 /// Model-checks MINOS-B under `model` on `workload`, exploring up to
 /// `max_states` distinct states.
 #[must_use]
 pub fn check_baseline(model: DdpModel, workload: &Workload, max_states: usize) -> McReport {
-    explore(BSystem::new(model, workload), max_states)
+    let engines = b_engines(model, workload, true, None);
+    explore(McSystem::new(model, workload, engines), max_states)
 }
 
 /// Model-checks the partial-replication extension: each record lives on
@@ -325,10 +308,8 @@ pub fn check_baseline_replicated(
     k: u16,
     max_states: usize,
 ) -> McReport {
-    explore(
-        BSystem::with_options(model, workload, true, Some(k)),
-        max_states,
-    )
+    let engines = b_engines(model, workload, true, Some(k));
+    explore(McSystem::new(model, workload, engines), max_states)
 }
 
 /// Fault injection: model-checks MINOS-B with the §III-A RDLock-snatching
@@ -341,5 +322,16 @@ pub fn check_baseline_no_snatch(
     workload: &Workload,
     max_states: usize,
 ) -> McReport {
-    explore(BSystem::with_snatch(model, workload, false), max_states)
+    let engines = b_engines(model, workload, false, None);
+    explore(McSystem::new(model, workload, engines), max_states)
+}
+
+/// Model-checks MINOS-O under `model` on `workload`, exploring up to
+/// `max_states` distinct states.
+#[must_use]
+pub fn check_offload(model: DdpModel, workload: &Workload, max_states: usize) -> McReport {
+    let engines = (0..workload.nodes)
+        .map(|i| ONodeEngine::new(NodeId(i as u16), workload.nodes, model))
+        .collect();
+    explore(McSystem::new(model, workload, engines), max_states)
 }

@@ -1,36 +1,33 @@
 //! The simulated MINOS-B machine: protocol on host CPUs, plain NICs.
 
-use crate::arch::Arch;
+use crate::des::{Env, Machine, NicPort, Sim};
 use crate::driver::{CompletionKind, CompletionRec};
 use crate::timing::{self, DISPATCH_NS};
-use minos_core::obs::{GaugeKind, GaugeSet, SharedSink, TraceClock, Tracer, GAUGE_NODE_ALL};
-use minos_core::runtime::{self, ActionSink, DispatchStats, Dispatcher, ShardRouter, Transport};
+use minos_core::obs::{GaugeKind, GaugeSet};
+use minos_core::runtime::{self, ActionSink, Transport};
 use minos_core::{Action, DelayClass, Event, NodeEngine, ReqId, Side};
-use minos_sim::{CorePool, DepthTracker, EventQueue, Resource, Time};
+use minos_sim::{CorePool, Resource, Time};
 use minos_types::wire::TraceCtx;
-use minos_types::{
-    DdpModel, Key, MembershipView, Message, MessageKind, NodeId, ScopeId, ShardMap, SimConfig, Ts,
-    Value,
-};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use minos_types::{Key, Message, MessageKind, NodeId, ScopeId, SimConfig, Ts, Value};
+use std::collections::HashMap;
+
+/// The MINOS-B discrete-event simulation.
+///
+/// Every protocol step runs on host cores; every message pays PCIe both
+/// ways plus the NIC send cost and the network link. The [`Arch`](crate::Arch)
+/// flags graft batching/broadcast NIC capabilities onto the baseline for
+/// the Figure 12 ablation.
+pub type BSim = Sim<NodeEngine>;
 
 /// Per-node sender-side hardware resources. The receive-side PCIe
-/// resources live in a separate array on [`BSim`] so a dispatch handler
-/// can borrow its own node's sender resources and every peer's receiver
-/// at once.
+/// resources live in a separate array so a dispatch handler can borrow
+/// its own node's sender resources and every peer's receiver at once.
 #[derive(Debug, Clone)]
-struct NodeRes {
+pub(crate) struct NodeRes {
     cores: CorePool,
     /// Host→NIC PCIe bandwidth (one direction).
     pcie_tx: Resource,
-    /// NIC send engine (serializes outgoing messages).
-    nic_tx: Resource,
-    /// Telemetry companion: host send-queue (PCIe submission) depth.
-    pcie_depth: DepthTracker,
-    /// Telemetry companion: NIC wire-TX queue depth.
-    nic_depth: DepthTracker,
+    port: NicPort,
 }
 
 /// Per-write instrumentation for the Figure 4 communication/computation
@@ -43,677 +40,92 @@ struct TxTrace {
     foll_handles: u32,
 }
 
-/// A scheduled membership action, applied when simulated time reaches
-/// it (before any protocol event at a later instant).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ViewChange {
-    /// Kill the node: volatile loss, survivors shrink their quorums.
-    Crash(NodeId),
-    /// Start the node's rejoin: donor copy now, re-admittance after the
-    /// catch-up transfer time.
-    BeginRejoin {
-        /// Rejoining node.
-        node: NodeId,
-        /// Serving peer that streams the catch-up delta.
-        donor: NodeId,
-    },
-    /// Catch-up done: the node re-enters every quorum and the epoch
-    /// advances (scheduled internally by `BeginRejoin`).
-    Readmit(NodeId),
-}
-
-/// Lease duration granted by the simulated views. Generous — the DES
-/// failure detector is the scheduled [`ViewChange`] list, not lease
-/// expiry; leases document liveness, they don't drive it here.
-pub(crate) const SIM_LEASE_NS: Time = 1 << 40;
-
-/// The MINOS-B discrete-event simulation.
-///
-/// Every protocol step runs on host cores; every message pays PCIe both
-/// ways plus the NIC send cost and the network link. The [`Arch`] flags
-/// graft batching/broadcast NIC capabilities onto the baseline for the
-/// Figure 12 ablation.
+/// The MINOS-B machine's hardware and per-run instrumentation.
 #[derive(Debug)]
-pub struct BSim {
-    cfg: SimConfig,
-    arch: Arch,
-    engines: Vec<NodeEngine>,
-    dispatchers: Vec<Dispatcher>,
-    /// Scheduled deliveries: destination, event, and the trace context
-    /// of the dispatch that caused the event (`None` for client
-    /// submissions — admission mints the trace).
-    queue: EventQueue<(NodeId, Event, Option<TraceCtx>)>,
+pub struct BHw {
     nodes: Vec<NodeRes>,
     /// NIC→host PCIe bandwidth, indexed by receiving node.
     pcie_rx: Vec<Resource>,
-    completions: Vec<CompletionRec>,
     traces: HashMap<(Key, Ts), TxTrace>,
-    next_req: u64,
-    /// Virtual-clock source shared with attached tracers: holds the
-    /// simulated time of the event being dispatched.
-    vclock: Option<Arc<AtomicU64>>,
-    /// Resource telemetry, sampled every `cfg.telemetry_tick_ns` of
-    /// virtual time (PCIe bytes and batch fill accumulate event-driven).
-    gauges: GaugeSet,
-    /// Next virtual-time telemetry sample point.
-    next_sample: Time,
-    /// Completions already handed out through `drain_completions` (for
-    /// the in-flight gauge).
-    drained: u64,
-    /// Events processed by [`BSim::step`] so far (view changes, dropped
-    /// frames to dead nodes, and dispatched protocol events alike) —
-    /// the denominator of the simulator's events/sec speed cells.
-    events: u64,
-    /// Key → shard-group routing and multi-op barriers; identity when the
-    /// simulation is unsharded.
-    router: ShardRouter,
-    /// Requests routed off their origin node: req → origin. Their
-    /// completions pay the return routing hop at drain time.
-    routed: HashMap<ReqId, NodeId>,
-    /// Barrier parents: parent req → (origin, completion kind).
-    parents: HashMap<ReqId, (NodeId, CompletionKind)>,
-    /// Latest child completion seen per parent (the barrier release time).
-    parent_hwm: HashMap<ReqId, Time>,
-    /// Submitted-minus-completed keyed ops per shard (sharded only).
-    inflight_by_shard: BTreeMap<u32, u64>,
-    /// Scheduled membership actions, fired in time order interleaved
-    /// with the protocol event queue.
-    ctrl: Vec<(Time, ViewChange)>,
-    /// Epoch/lease membership view; simulated time feeds the lease
-    /// clock. Crashed and catching-up nodes are out of the serving set:
-    /// events addressed to them are dropped (frames to a dead node are
-    /// lost) and survivors exclude them from acknowledgment quorums.
-    view: MembershipView,
 }
 
-impl BSim {
-    /// Builds the simulation for `cfg.nodes` nodes running `model`.
-    #[must_use]
-    pub fn new(cfg: SimConfig, arch: Arch, model: DdpModel) -> Self {
-        assert!(!arch.offload, "BSim models non-offloaded architectures");
-        let n = cfg.nodes;
-        BSim {
-            engines: (0..n)
-                .map(|i| NodeEngine::new(NodeId(i as u16), n, model))
-                .collect(),
-            dispatchers: vec![Dispatcher::new(); n],
-            nodes: (0..n)
+impl Machine for NodeEngine {
+    type Hw = BHw;
+    type Sink<'a> = BSimHandler<'a>;
+
+    const OFFLOAD: bool = false;
+
+    fn hw(cfg: &SimConfig) -> BHw {
+        BHw {
+            nodes: (0..cfg.nodes)
                 .map(|_| NodeRes {
                     cores: CorePool::new(cfg.host_cores),
                     pcie_tx: Resource::new(),
-                    nic_tx: Resource::new(),
-                    pcie_depth: DepthTracker::new(),
-                    nic_depth: DepthTracker::new(),
+                    port: NicPort::default(),
                 })
                 .collect(),
-            pcie_rx: vec![Resource::new(); n],
-            queue: EventQueue::new(),
-            completions: Vec::new(),
+            pcie_rx: vec![Resource::new(); cfg.nodes],
             traces: HashMap::new(),
-            next_req: 1,
-            vclock: None,
-            gauges: GaugeSet::new(),
-            next_sample: 0,
-            drained: 0,
-            events: 0,
-            router: ShardRouter::new(None),
-            routed: HashMap::new(),
-            parents: HashMap::new(),
-            parent_hwm: HashMap::new(),
-            inflight_by_shard: BTreeMap::new(),
-            ctrl: Vec::new(),
-            view: MembershipView::new(n, SIM_LEASE_NS, 0),
-            cfg,
-            arch,
         }
     }
 
-    /// Builds a sharded simulation over `map`'s nodes: one simulation
-    /// hosts every shard group, each engine holds only its shards' keys,
-    /// and client ops submitted outside their key's replica group pay a
-    /// routing hop (`timing::route_hop_ns`) each way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` does not span exactly `cfg.nodes` nodes.
-    #[must_use]
-    pub fn with_placement(cfg: SimConfig, arch: Arch, model: DdpModel, map: ShardMap) -> Self {
-        assert_eq!(map.n_nodes(), cfg.nodes, "placement/config node mismatch");
-        let mut sim = BSim::new(cfg, arch, model);
-        for e in &mut sim.engines {
-            e.set_placement(Some(map.clone()));
-        }
-        sim.router = ShardRouter::new(Some(map));
-        sim
-    }
-
-    /// The placement map, if this simulation is sharded.
-    #[must_use]
-    pub fn placement(&self) -> Option<&ShardMap> {
-        self.router.map()
-    }
-
-    /// Attaches observability sinks to every node's dispatcher. Records
-    /// are stamped with simulated time (a virtual clock that tracks the
-    /// event queue), so traces replay on the same axis as the DES.
-    pub fn attach_tracer(&mut self, sinks: Vec<SharedSink>) {
-        let source = Arc::new(AtomicU64::new(0));
-        for (i, d) in self.dispatchers.iter_mut().enumerate() {
-            d.set_tracer(Some(Tracer::new(
-                NodeId(i as u16),
-                TraceClock::virtual_time(Arc::clone(&source)),
-                sinks.clone(),
-            )));
-        }
-        self.vclock = Some(source);
-    }
-
-    /// Current simulated time.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        self.queue.now()
-    }
-
-    /// Pre-loads a record on every node that replicates it.
-    pub fn load_all(&mut self, key: Key, value: Value) {
-        for e in &mut self.engines {
-            if e.is_replica(key) {
-                e.load_record(key, value.clone());
-            }
+    fn sample_hw(hw: &mut BHw, t: Time, gauges: &mut GaugeSet) {
+        for (i, res) in hw.nodes.iter_mut().enumerate() {
+            res.port.sample(i as u32, t, gauges);
         }
     }
 
-    fn note_submitted(&mut self, key: Key) {
-        if let Some(map) = self.router.map() {
-            let shard = map.shard_of(key).0;
-            *self.inflight_by_shard.entry(shard).or_insert(0) += 1;
-        }
-    }
-
-    /// Schedules `ev` at `coord`, charging the one-way routing hop when
-    /// the op was submitted at a different node; remembers the origin so
-    /// the completion pays the return hop.
-    fn route_schedule(&mut self, at: Time, origin: NodeId, coord: NodeId, req: ReqId, ev: Event) {
-        let at = if coord == origin {
-            at
-        } else {
-            self.routed.insert(req, origin);
-            at + timing::route_hop_ns(&self.cfg)
-        };
-        self.queue.schedule(at, (coord, ev, None));
-    }
-
-    /// Submits a client write at `node`, `at` the given time. On a
-    /// sharded simulation the write is routed to a replica of its key's
-    /// shard, paying the routing hop each way when `node` is not one.
-    pub fn submit_write(
-        &mut self,
-        at: Time,
+    fn sink<'a>(
+        env: Env<'a, NodeEngine>,
+        hw: &'a mut BHw,
         node: NodeId,
-        key: Key,
-        value: Value,
-        scope: Option<ScopeId>,
-    ) -> ReqId {
-        let req = self.fresh_req();
-        let coord = self.router.route_write(node, key, scope);
-        self.note_submitted(key);
-        self.route_schedule(
-            at,
-            node,
-            coord,
-            req,
-            Event::ClientWrite {
-                key,
-                value,
-                scope,
-                req,
-            },
-        );
-        req
-    }
-
-    /// Submits a client read, routed to a serving replica.
-    pub fn submit_read(&mut self, at: Time, node: NodeId, key: Key) -> ReqId {
-        let req = self.fresh_req();
-        let serving = self.router.serving(node, key);
-        self.note_submitted(key);
-        self.route_schedule(at, node, serving, req, Event::ClientRead { key, req });
-        req
-    }
-
-    /// Submits a multi-key write batch: one routed child write per key,
-    /// barrier-joined into the returned parent request, which completes
-    /// (kind [`CompletionKind::MultiWrite`], at the latest child's
-    /// completion) only once every child has.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `writes` is empty.
-    pub fn submit_write_multi(
-        &mut self,
-        at: Time,
-        node: NodeId,
-        writes: Vec<(Key, Value)>,
-        scope: Option<ScopeId>,
-    ) -> ReqId {
-        assert!(!writes.is_empty(), "empty multi-key write batch");
-        let req = self.fresh_req();
-        let children: Vec<ReqId> = writes.iter().map(|_| self.fresh_req()).collect();
-        self.router.begin_barrier(req, &children);
-        self.parents.insert(req, (node, CompletionKind::MultiWrite));
-        for ((key, value), child) in writes.into_iter().zip(children) {
-            let coord = self.router.route_write(node, key, scope);
-            self.note_submitted(key);
-            self.route_schedule(
-                at,
-                node,
-                coord,
-                child,
-                Event::ClientWrite {
-                    key,
-                    value,
-                    scope,
-                    req: child,
-                },
-            );
-        }
-        req
-    }
-
-    /// Submits a `[PERSIST]sc`. On a sharded simulation the flush fans
-    /// out to every coordinator that scoped writes from `node` were
-    /// routed to, barrier-joined into the returned parent request.
-    pub fn submit_persist_scope(&mut self, at: Time, node: NodeId, scope: ScopeId) -> ReqId {
-        let req = self.fresh_req();
-        if self.router.map().is_some() {
-            let coords = self.router.scope_coordinators(node, scope);
-            let children: Vec<ReqId> = coords.iter().map(|_| self.fresh_req()).collect();
-            self.router.begin_barrier(req, &children);
-            self.parents
-                .insert(req, (node, CompletionKind::PersistScope));
-            for (coord, child) in coords.into_iter().zip(children) {
-                self.route_schedule(
-                    at,
-                    node,
-                    coord,
-                    child,
-                    Event::ClientPersistScope { scope, req: child },
-                );
-            }
-        } else {
-            self.queue
-                .schedule(at, (node, Event::ClientPersistScope { scope, req }, None));
-        }
-        req
-    }
-
-    fn fresh_req(&mut self) -> ReqId {
-        let r = ReqId(self.next_req);
-        self.next_req += 1;
-        r
-    }
-
-    /// Drains the completions recorded since the last call. Routed
-    /// requests pay the return hop here; barrier children are folded
-    /// into their parent, which surfaces at the latest child completion.
-    pub fn drain_completions(&mut self) -> Vec<CompletionRec> {
-        let raw = std::mem::take(&mut self.completions);
-        let mut out = Vec::with_capacity(raw.len());
-        for mut rec in raw {
-            if self.routed.remove(&rec.req).is_some() {
-                rec.at += timing::route_hop_ns(&self.cfg);
-            }
-            if let Some(key) = rec.key {
-                if let Some(map) = self.router.map() {
-                    let shard = map.shard_of(key).0;
-                    if let Some(n) = self.inflight_by_shard.get_mut(&shard) {
-                        *n = n.saturating_sub(1);
-                    }
-                }
-            }
-            match self.router.parent_of(rec.req) {
-                None => out.push(rec),
-                Some(parent) => {
-                    let hwm = self.parent_hwm.entry(parent).or_insert(0);
-                    *hwm = (*hwm).max(rec.at);
-                    if self.router.complete_child(rec.req).is_some() {
-                        let (origin, kind) = self.parents.remove(&parent).expect("parent recorded");
-                        let at = self.parent_hwm.remove(&parent).unwrap_or(rec.at);
-                        out.push(CompletionRec {
-                            req: parent,
-                            node: origin,
-                            at,
-                            kind,
-                            key: None,
-                            ts: Ts::zero(),
-                            obsolete: false,
-                            comm_ns: None,
-                        });
-                    }
-                }
-            }
-        }
-        self.drained += out.len() as u64;
-        out
-    }
-
-    /// The resource-telemetry gauges accumulated so far.
-    #[must_use]
-    pub fn gauges(&self) -> &GaugeSet {
-        &self.gauges
-    }
-
-    /// Samples the level gauges at virtual time `t` when a telemetry
-    /// tick boundary has been crossed (one sample per crossing).
-    fn sample_gauges(&mut self, t: Time) {
-        let tick = self.cfg.telemetry_tick_ns;
-        if tick == 0 || t < self.next_sample {
-            return;
-        }
-        self.next_sample = (t / tick + 1) * tick;
-        self.gauges.observe(
-            GaugeKind::EventQueueDepth,
-            GAUGE_NODE_ALL,
-            self.queue.len() as u64,
-        );
-        for (i, res) in self.nodes.iter_mut().enumerate() {
-            let node = i as u32;
-            self.gauges.observe(
-                GaugeKind::HostSendQueue,
-                node,
-                res.pcie_depth.depth(t) as u64,
-            );
-            self.gauges
-                .observe(GaugeKind::NicSendQueue, node, res.nic_depth.depth(t) as u64);
-        }
-        match self.router.map().cloned() {
-            Some(map) => {
-                for (i, e) in self.engines.iter().enumerate() {
-                    let by_shard = e.locked_records_by_shard(&map);
-                    for sh in map.shards_on(NodeId(i as u16)) {
-                        let n = by_shard.get(&sh.0).copied().unwrap_or(0);
-                        self.gauges.observe_shard(
-                            GaugeKind::LockTableSize,
-                            i as u32,
-                            sh.0,
-                            n as u64,
-                        );
-                    }
-                }
-                for (&shard, &n) in &self.inflight_by_shard {
-                    self.gauges
-                        .observe_shard(GaugeKind::InflightTxs, GAUGE_NODE_ALL, shard, n);
-                }
-            }
-            None => {
-                for (i, e) in self.engines.iter().enumerate() {
-                    self.gauges.observe(
-                        GaugeKind::LockTableSize,
-                        i as u32,
-                        e.locked_records() as u64,
-                    );
-                }
-                let issued = self.next_req - 1;
-                let done = self.drained + self.completions.len() as u64;
-                self.gauges.observe(
-                    GaugeKind::InflightTxs,
-                    GAUGE_NODE_ALL,
-                    issued.saturating_sub(done),
-                );
-            }
-        }
-    }
-
-    /// Access to a node's engine (assertions, state dumps).
-    #[must_use]
-    pub fn engine(&self, node: NodeId) -> &NodeEngine {
-        &self.engines[node.0 as usize]
-    }
-
-    /// Disables RDLock snatching on every node (the §III-A design-choice
-    /// ablation).
-    pub fn disable_snatching(&mut self) {
-        for e in &mut self.engines {
-            e.set_snatch_enabled(false);
-        }
-    }
-
-    /// Per-node dispatch statistics (protocol actions interpreted for
-    /// `node` so far).
-    #[must_use]
-    pub fn dispatch_stats(&self, node: NodeId) -> &DispatchStats {
-        self.dispatchers[node.0 as usize].stats()
-    }
-
-    /// Schedules a crash of `node` at simulated time `at`: its volatile
-    /// state is lost, events addressed to it from then on are dropped,
-    /// survivors shrink their acknowledgment quorums, and the view epoch
-    /// advances.
-    pub fn schedule_crash(&mut self, at: Time, node: NodeId) {
-        self.ctrl.push((at, ViewChange::Crash(node)));
-    }
-
-    /// Schedules the rejoin of a crashed `node` at `at`, with `donor` as
-    /// the catch-up source. The donor copy is installed at `at`; the
-    /// node re-enters the serving set (and the epoch advances) only
-    /// after the catch-up transfer time [`timing::catchup_ns`] — the
-    /// availability dip a rolling restart pays per node. The attempt is
-    /// dropped if `node` is not down or `donor` is not serving when the
-    /// action fires.
-    pub fn schedule_rejoin(&mut self, at: Time, node: NodeId, donor: NodeId) {
-        self.ctrl
-            .push((at, ViewChange::BeginRejoin { node, donor }));
-    }
-
-    /// The epoch/lease membership view in force.
-    #[must_use]
-    pub fn membership(&self) -> &MembershipView {
-        &self.view
-    }
-
-    /// The current view epoch.
-    #[must_use]
-    pub fn view_epoch(&self) -> u64 {
-        self.view.epoch()
-    }
-
-    /// Pops the earliest scheduled view change if it is due before (or
-    /// at) the next protocol event.
-    fn pop_ctrl_due(&mut self) -> Option<(Time, ViewChange)> {
-        let idx = self
-            .ctrl
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (t, _))| *t)
-            .map(|(i, _)| i)?;
-        let t = self.ctrl[idx].0;
-        if self.queue.peek_time().is_none_or(|evt| t <= evt) {
-            Some(self.ctrl.remove(idx))
-        } else {
-            None
-        }
-    }
-
-    /// Applies one due view change at simulated time `t`.
-    fn apply_view_change(&mut self, t: Time, vc: ViewChange) {
-        if let Some(v) = &self.vclock {
-            v.store(t, Ordering::Relaxed);
-        }
-        self.sample_gauges(t);
-        match vc {
-            ViewChange::Crash(node) => {
-                let ni = node.0 as usize;
-                let n = self.engines.len();
-                let model = self.engines[ni].model();
-                self.engines[ni] = NodeEngine::new(node, n, model);
-                self.engines[ni].set_placement(self.router.map().cloned());
-                self.dispatchers[ni] = Dispatcher::new();
-                if self.view.mark_down(node).is_err() {
-                    return;
-                }
-                for i in 0..n {
-                    if i != ni {
-                        self.engines[i].mark_failed(node);
-                    }
-                }
-                self.poke_all(t);
-            }
-            ViewChange::BeginRejoin { node, donor } => {
-                if !self.view.is_serving(donor) || self.view.begin_rejoin(node).is_err() {
-                    return;
-                }
-                let ni = node.0 as usize;
-                let records: Vec<(Key, Ts, Value)> = self.engines[donor.0 as usize]
-                    .keys()
-                    .into_iter()
-                    .filter(|&k| self.engines[ni].is_replica(k))
-                    .map(|k| {
-                        let e = &self.engines[donor.0 as usize];
-                        (
-                            k,
-                            e.record_meta(k).volatile_ts,
-                            e.record_value(k).unwrap_or_default(),
-                        )
-                    })
-                    .collect();
-                let bytes: u64 = records.iter().map(|(_, _, v)| v.len() as u64).sum();
-                let cost = timing::catchup_ns(&self.cfg, records.len() as u64, bytes);
-                for (k, ts, v) in records {
-                    self.engines[ni].install_recovered(k, ts, v);
-                }
-                self.ctrl.push((t + cost, ViewChange::Readmit(node)));
-            }
-            ViewChange::Readmit(node) => {
-                let ni = node.0 as usize;
-                for i in 0..self.engines.len() {
-                    let other = NodeId(i as u16);
-                    if other == node {
-                        continue;
-                    }
-                    self.engines[i].mark_recovered(node);
-                    // The rebuilt engine starts with everyone alive;
-                    // teach it about peers still out of the set.
-                    if !self.view.is_serving(other) {
-                        self.engines[ni].mark_failed(other);
-                    }
-                }
-                self.view
-                    .complete_rejoin(node, t)
-                    .expect("readmit follows begin_rejoin");
-                self.poke_all(t);
-            }
-        }
-    }
-
-    /// Re-evaluates every serving engine's wait conditions at `t`: a
-    /// view change may have made a quorum satisfiable (or a blocked
-    /// transaction re-targetable).
-    fn poke_all(&mut self, t: Time) {
-        for i in 0..self.engines.len() {
-            if !self.view.is_serving(NodeId(i as u16)) {
-                continue;
-            }
-            let mut out = Vec::new();
-            self.engines[i].poll_now(&mut out);
-            if out.is_empty() {
-                continue;
-            }
-            let mut handler = BSimHandler {
-                cfg: &self.cfg,
-                arch: self.arch,
-                node: NodeId(i as u16),
-                t,
-                end: t,
-                inv_key: None,
-                ctx: None,
-                res: &mut self.nodes[i],
-                peer_rx: &mut self.pcie_rx,
-                queue: &mut self.queue,
-                completions: &mut self.completions,
-                traces: &mut self.traces,
-                gauges: &mut self.gauges,
-            };
-            self.dispatchers[i].run_actions(&self.engines[i], out, &mut handler);
-        }
-    }
-
-    /// Events processed by [`BSim::step`] so far.
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        self.events
-    }
-
-    /// Processes one simulated event. Returns false when idle.
-    pub fn step(&mut self) -> bool {
-        if let Some((t, vc)) = self.pop_ctrl_due() {
-            self.events += 1;
-            self.apply_view_change(t, vc);
-            return true;
-        }
-        let Some((t, (node, ev, ctx))) = self.queue.pop() else {
-            return false;
-        };
-        self.events += 1;
-        // A node outside the serving set neither receives nor computes:
-        // frames addressed to it are lost on the wire.
-        if !self.view.is_serving(node) {
-            return true;
-        }
-        let ni = node.0 as usize;
-        if let Some(v) = &self.vclock {
-            v.store(t, Ordering::Relaxed);
-        }
-        self.sample_gauges(t);
-
-        // Instrumentation: acknowledgment arrivals close the comm window.
-        if let Event::Message { msg, .. } = &ev {
+        t: Time,
+        event: Option<&Event>,
+    ) -> BSimHandler<'a> {
+        let mut inv_key = None;
+        if let Some(Event::Message { msg, .. }) = event {
+            // Instrumentation: acknowledgment arrivals close the comm
+            // window.
             if msg.is_ack() {
                 if let (Some(key), Some(ts)) = (msg.key(), msg.ts()) {
-                    if let Some(tr) = self.traces.get_mut(&(key, ts)) {
+                    if let Some(tr) = hw.traces.get_mut(&(key, ts)) {
                         tr.last_ack_arrival = tr.last_ack_arrival.max(t);
                     }
                 }
             }
+            if let Message::Inv { key, ts, .. } = msg {
+                inv_key = Some((*key, *ts));
+            }
         }
-        let inv_key = match &ev {
-            Event::Message {
-                msg: Message::Inv { key, ts, .. },
-                ..
-            } => Some((*key, *ts)),
-            _ => None,
-        };
-
-        let mut handler = BSimHandler {
-            cfg: &self.cfg,
-            arch: self.arch,
+        BSimHandler {
+            env,
             node,
             t,
             end: t,
             inv_key,
             ctx: None,
-            res: &mut self.nodes[ni],
-            peer_rx: &mut self.pcie_rx,
-            queue: &mut self.queue,
-            completions: &mut self.completions,
-            traces: &mut self.traces,
-            gauges: &mut self.gauges,
-        };
-        self.dispatchers[ni].dispatch_ctx(&mut self.engines[ni], ev, ctx, &mut handler);
-        true
+            res: &mut hw.nodes[node.0 as usize],
+            peer_rx: &mut hw.pcie_rx,
+            traces: &mut hw.traces,
+        }
     }
+}
 
-    /// Runs until the event queue is empty.
-    pub fn run_to_idle(&mut self) {
-        while self.step() {}
+impl BSim {
+    /// Disables RDLock snatching on every node (the §III-A design-choice
+    /// ablation).
+    pub fn disable_snatching(&mut self) {
+        for e in self.engines_mut() {
+            e.set_snatch_enabled(false);
+        }
     }
 }
 
 /// The DES dispatch handler for one event at one node: models the host
 /// send queue → PCIe → NIC → wire → NIC → PCIe receive path and charges
-/// compute to the node's core pool. Created fresh per [`BSim::step`].
-struct BSimHandler<'a> {
-    cfg: &'a SimConfig,
-    arch: Arch,
+/// compute to the node's core pool. Created fresh per [`Sim::step`].
+pub struct BSimHandler<'a> {
+    env: Env<'a, NodeEngine>,
     node: NodeId,
     /// Event arrival time.
     t: Time,
@@ -726,10 +138,7 @@ struct BSimHandler<'a> {
     ctx: Option<TraceCtx>,
     res: &'a mut NodeRes,
     peer_rx: &'a mut [Resource],
-    queue: &'a mut EventQueue<(NodeId, Event, Option<TraceCtx>)>,
-    completions: &'a mut Vec<CompletionRec>,
     traces: &'a mut HashMap<(Key, Ts), TxTrace>,
-    gauges: &'a mut GaugeSet,
 }
 
 impl BSimHandler<'_> {
@@ -737,35 +146,35 @@ impl BSimHandler<'_> {
     /// from the send queue, transferred along the slow PCIe bus", so the
     /// full latency+bandwidth time occupies the bus (no pipelining).
     fn pcie_msg_ns(&self, bytes: u64) -> Time {
-        self.cfg.pcie_transfer_ns(bytes.max(64))
+        self.env.cfg.pcie_transfer_ns(bytes.max(64))
     }
 
     /// Occupies the host→NIC PCIe bus for `bytes` starting at `from`,
     /// feeding the send-queue-depth tracker and the PCIe-byte counter.
     fn pcie_tx(&mut self, from: Time, bytes: u64) -> Time {
         let done = self.res.pcie_tx.acquire(from, self.pcie_msg_ns(bytes));
-        self.res.pcie_depth.on_acquire(done);
-        self.gauges
+        self.res.port.pcie_depth.on_acquire(done);
+        self.env
+            .gauges
             .add(GaugeKind::PcieBytes, u32::from(self.node.0), bytes.max(64));
         done
     }
 
     /// Occupies the NIC send engine, feeding the TX-queue-depth tracker.
     fn nic_tx(&mut self, from: Time, cost: Time) -> Time {
-        let depart = self.res.nic_tx.acquire(from, cost);
-        self.res.nic_depth.on_acquire(depart);
-        depart
+        self.res.port.send(from, cost)
     }
 
     /// Wire + receiver-side path shared by unicast and fan-out.
     fn deliver(&mut self, to: NodeId, depart: Time, msg: Message) {
         let bytes = msg.wire_bytes();
-        let arrival_nic = depart + timing::link_time(self.cfg, &msg);
+        let arrival_nic = depart + timing::link_time(self.env.cfg, &msg);
         let cost = self.pcie_msg_ns(bytes);
         let arrival_host = self.peer_rx[to.0 as usize].acquire(arrival_nic, cost);
-        self.gauges
+        self.env
+            .gauges
             .add(GaugeKind::PcieBytes, u32::from(to.0), bytes.max(64));
-        self.queue.schedule(
+        self.env.queue.schedule(
             arrival_host,
             (
                 to,
@@ -785,7 +194,7 @@ impl Transport for BSimHandler<'_> {
     fn send(&mut self, to: NodeId, msg: Message) {
         let bytes = msg.wire_bytes();
         let pcie_done = self.pcie_tx(self.end, bytes);
-        let depart = self.nic_tx(pcie_done, timing::send_cost(self.cfg, &msg));
+        let depart = self.nic_tx(pcie_done, timing::send_cost(self.env.cfg, &msg));
         self.deliver(to, depart, msg);
     }
 
@@ -810,19 +219,19 @@ impl Transport for BSimHandler<'_> {
         }
 
         let bytes = msg.wire_bytes();
-        let send = timing::send_cost(self.cfg, &msg);
-        let gap = self.cfg.inter_msg_gap_ns;
+        let send = timing::send_cost(self.env.cfg, &msg);
+        let gap = self.env.cfg.inter_msg_gap_ns;
 
-        if self.arch.batching {
+        if self.env.arch.batching {
             // One descriptor (payload + an 8-byte entry per destination).
             let desc = bytes + 8 * dests.len() as u64;
             let pcie_done = self.pcie_tx(deposit, desc);
-            self.gauges.observe(
+            self.env.gauges.observe(
                 GaugeKind::BatchFill,
                 u32::from(self.node.0),
                 dests.len() as u64,
             );
-            if self.arch.broadcast {
+            if self.env.arch.broadcast {
                 // Deposit once; the broadcast FSM replicates on the wire.
                 let depart = self.nic_tx(pcie_done, send);
                 for &d in dests {
@@ -830,7 +239,7 @@ impl Transport for BSimHandler<'_> {
                 }
             } else {
                 // The NIC must unpack the batch, then send serially.
-                let base = pcie_done + self.cfg.batch_unpack_ns;
+                let base = pcie_done + self.env.cfg.batch_unpack_ns;
                 for &d in dests {
                     let depart = self.nic_tx(base, send + gap);
                     self.deliver(d, depart, msg.clone());
@@ -841,7 +250,7 @@ impl Transport for BSimHandler<'_> {
             let mut first = true;
             for &d in dests {
                 let pcie_done = self.pcie_tx(deposit, bytes);
-                let cost = if self.arch.broadcast {
+                let cost = if self.env.arch.broadcast {
                     // The FSM only pays the prepare cost once.
                     if first {
                         send
@@ -864,7 +273,7 @@ impl ActionSink for BSimHandler<'_> {
         // Charge compute: dispatch + every meta hint, on a host core.
         let cost: Time = DISPATCH_NS
             + runtime::meta_ops(actions)
-                .map(|op| timing::meta_cost(self.cfg, Side::Host, *op))
+                .map(|op| timing::meta_cost(self.env.cfg, Side::Host, *op))
                 .sum::<Time>();
         self.end = self.res.cores.acquire(self.t, cost);
 
@@ -873,7 +282,7 @@ impl ActionSink for BSimHandler<'_> {
             // Follower takes to handle an INV (Lines 26-40), which
             // includes the critical-path NVM persist of Line 39.
             let persist: Time = runtime::foreground_persist_bytes(actions)
-                .map(|bytes| self.cfg.persist_ns(bytes))
+                .map(|bytes| self.env.cfg.persist_ns(bytes))
                 .sum();
             let tr = self.traces.entry(k).or_default();
             tr.foll_handle_total += cost + persist;
@@ -885,9 +294,10 @@ impl ActionSink for BSimHandler<'_> {
         // The CloudLab machine emulates NVM by spinning the issuing core
         // for the persist latency (Table II), so the persist occupies a
         // host core rather than a device port.
-        let d = self.cfg.persist_ns(value.len() as u64);
+        let d = self.env.cfg.persist_ns(value.len() as u64);
         let done = self.res.cores.acquire(self.end, d);
-        self.queue
+        self.env
+            .queue
             .schedule(done, (self.node, Event::PersistDone { key, ts }, self.ctx));
     }
 
@@ -895,17 +305,19 @@ impl ActionSink for BSimHandler<'_> {
         // Client re-submission at a replica: one wire hop.
         let arrival = self.end
             + timing::link_time(
-                self.cfg,
+                self.env.cfg,
                 &Message::ReadReq {
                     key: Key(0),
                     token: 0,
                 },
             );
-        self.queue.schedule(arrival, (to, event, self.ctx));
+        self.env.queue.schedule(arrival, (to, event, self.ctx));
     }
 
     fn defer(&mut self, event: Event, _class: DelayClass) {
-        self.queue.schedule(self.end, (self.node, event, self.ctx));
+        self.env
+            .queue
+            .schedule(self.end, (self.node, event, self.ctx));
     }
 
     fn write_done(&mut self, req: ReqId, key: Key, ts: Ts, obsolete: bool) {
@@ -919,41 +331,25 @@ impl ActionSink for BSimHandler<'_> {
                 .saturating_sub(tr.first_inv_deposit)
                 .saturating_sub(avg_handle)
         });
-        self.completions.push(CompletionRec {
-            req,
-            node: self.node,
-            at: self.end,
-            kind: CompletionKind::Write,
+        self.env.completions.push(CompletionRec {
             key: Some(key),
             ts,
             obsolete,
             comm_ns,
+            ..CompletionRec::new(req, self.node, self.end, CompletionKind::Write)
         });
     }
 
     fn read_done(&mut self, req: ReqId, key: Key, _value: Value, ts: Ts) {
-        self.completions.push(CompletionRec {
-            req,
-            node: self.node,
-            at: self.end,
-            kind: CompletionKind::Read,
+        self.env.completions.push(CompletionRec {
             key: Some(key),
             ts,
-            obsolete: false,
-            comm_ns: None,
+            ..CompletionRec::new(req, self.node, self.end, CompletionKind::Read)
         });
     }
 
     fn persist_scope_done(&mut self, req: ReqId, _scope: ScopeId) {
-        self.completions.push(CompletionRec {
-            req,
-            node: self.node,
-            at: self.end,
-            kind: CompletionKind::PersistScope,
-            key: None,
-            ts: Ts::zero(),
-            obsolete: false,
-            comm_ns: None,
-        });
+        let rec = CompletionRec::new(req, self.node, self.end, CompletionKind::PersistScope);
+        self.env.completions.push(rec);
     }
 }

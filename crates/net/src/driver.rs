@@ -8,6 +8,7 @@
 
 use crate::arch::Arch;
 use crate::bsim::BSim;
+use crate::des::{Machine, Sim};
 use crate::osim::OSim;
 use minos_core::obs::{
     analyze, Category, GaugeSet, HistogramSet, MetricsSink, RingRecorder, SharedSink,
@@ -54,6 +55,23 @@ pub struct CompletionRec {
     /// Communication time of the write transaction (Figure 4 breakdown;
     /// recorded by [`BSim`] only).
     pub comm_ns: Option<Time>,
+}
+
+impl CompletionRec {
+    /// A completion of `req` at `node`, time `at`, with no key,
+    /// timestamp, obsoleteness or communication breakdown.
+    pub(crate) fn new(req: ReqId, node: NodeId, at: Time, kind: CompletionKind) -> Self {
+        CompletionRec {
+            req,
+            node,
+            at,
+            kind,
+            key: None,
+            ts: minos_types::Ts::zero(),
+            obsolete: false,
+            comm_ns: None,
+        }
+    }
 }
 
 /// Aggregated results of one simulated run.
@@ -113,117 +131,19 @@ fn ops_per_sec(ops: u64, makespan: Time) -> f64 {
     ops as f64 * 1e9 / makespan as f64
 }
 
-/// Either simulation behind one interface.
-enum SimBox {
-    B(Box<BSim>),
-    O(Box<OSim>),
-}
-
-impl SimBox {
-    fn new(arch: Arch, cfg: &SimConfig, model: DdpModel) -> Self {
-        SimBox::with_placement(arch, cfg, model, None)
-    }
-
-    /// Builds the simulation, sharded over `placement` when given.
-    fn with_placement(
-        arch: Arch,
-        cfg: &SimConfig,
-        model: DdpModel,
-        placement: Option<&ShardMap>,
-    ) -> Self {
-        match (arch.offload, placement) {
-            (true, Some(map)) => SimBox::O(Box::new(OSim::with_placement(
-                cfg.clone(),
-                arch,
-                model,
-                map.clone(),
-            ))),
-            (true, None) => SimBox::O(Box::new(OSim::new(cfg.clone(), arch, model))),
-            (false, Some(map)) => SimBox::B(Box::new(BSim::with_placement(
-                cfg.clone(),
-                arch,
-                model,
-                map.clone(),
-            ))),
-            (false, None) => SimBox::B(Box::new(BSim::new(cfg.clone(), arch, model))),
+/// Builds the simulation for `arch` — [`OSim`] when it offloads, [`BSim`]
+/// otherwise, sharded over `placement` when given — and runs `$body`
+/// with it bound to `$sim`. The one place the driver picks a machine.
+macro_rules! with_sim {
+    ($arch:expr, $cfg:expr, $model:expr, $placement:expr, |$sim:ident| $body:expr) => {
+        if $arch.offload {
+            let mut $sim = OSim::build($arch, $cfg, $model, $placement);
+            $body
+        } else {
+            let mut $sim = BSim::build($arch, $cfg, $model, $placement);
+            $body
         }
-    }
-
-    fn submit_write(
-        &mut self,
-        at: Time,
-        node: NodeId,
-        key: Key,
-        value: Value,
-        scope: Option<ScopeId>,
-    ) -> ReqId {
-        match self {
-            SimBox::B(s) => s.submit_write(at, node, key, value, scope),
-            SimBox::O(s) => s.submit_write(at, node, key, value, scope),
-        }
-    }
-
-    fn submit_read(&mut self, at: Time, node: NodeId, key: Key) -> ReqId {
-        match self {
-            SimBox::B(s) => s.submit_read(at, node, key),
-            SimBox::O(s) => s.submit_read(at, node, key),
-        }
-    }
-
-    fn submit_write_multi(
-        &mut self,
-        at: Time,
-        node: NodeId,
-        writes: Vec<(Key, Value)>,
-        scope: Option<ScopeId>,
-    ) -> ReqId {
-        match self {
-            SimBox::B(s) => s.submit_write_multi(at, node, writes, scope),
-            SimBox::O(s) => s.submit_write_multi(at, node, writes, scope),
-        }
-    }
-
-    fn submit_persist_scope(&mut self, at: Time, node: NodeId, scope: ScopeId) -> ReqId {
-        match self {
-            SimBox::B(s) => s.submit_persist_scope(at, node, scope),
-            SimBox::O(s) => s.submit_persist_scope(at, node, scope),
-        }
-    }
-
-    fn step(&mut self) -> bool {
-        match self {
-            SimBox::B(s) => s.step(),
-            SimBox::O(s) => s.step(),
-        }
-    }
-
-    fn drain_completions(&mut self) -> Vec<CompletionRec> {
-        match self {
-            SimBox::B(s) => s.drain_completions(),
-            SimBox::O(s) => s.drain_completions(),
-        }
-    }
-
-    fn attach_tracer(&mut self, sinks: Vec<SharedSink>) {
-        match self {
-            SimBox::B(s) => s.attach_tracer(sinks),
-            SimBox::O(s) => s.attach_tracer(sinks),
-        }
-    }
-
-    fn gauges(&self) -> &GaugeSet {
-        match self {
-            SimBox::B(s) => s.gauges(),
-            SimBox::O(s) => s.gauges(),
-        }
-    }
-
-    fn events(&self) -> u64 {
-        match self {
-            SimBox::B(s) => s.events_processed(),
-            SimBox::O(s) => s.events_processed(),
-        }
-    }
+    };
 }
 
 /// Writes issued per scope before a `[PERSIST]sc` under `<Lin, Scope>`.
@@ -279,8 +199,15 @@ pub fn run_with_clients(
     seed: u64,
     clients_per_node: usize,
 ) -> RunResult {
-    let mut sim = SimBox::new(arch, cfg, model);
-    run_on(&mut sim, arch, cfg, model, spec, seed, clients_per_node)
+    with_sim!(arch, cfg, model, None, |sim| run_on(
+        &mut sim,
+        arch,
+        cfg,
+        model,
+        spec,
+        seed,
+        clients_per_node
+    ))
 }
 
 /// [`run_with_clients`] on a sharded cluster: one simulation hosts every
@@ -297,8 +224,15 @@ pub fn run_sharded(
     clients_per_node: usize,
     map: &ShardMap,
 ) -> RunResult {
-    let mut sim = SimBox::with_placement(arch, cfg, model, Some(map));
-    run_on(&mut sim, arch, cfg, model, spec, seed, clients_per_node)
+    with_sim!(arch, cfg, model, Some(map), |sim| run_on(
+        &mut sim,
+        arch,
+        cfg,
+        model,
+        spec,
+        seed,
+        clients_per_node
+    ))
 }
 
 /// MINOS-B with the RDLock-snatching optimization of §III-A disabled —
@@ -313,11 +247,10 @@ pub fn run_b_snatch_ablation(
     seed: u64,
     snatch: bool,
 ) -> RunResult {
-    let mut b = BSim::new(cfg.clone(), Arch::baseline(), model);
+    let mut sim = BSim::new(cfg.clone(), Arch::baseline(), model);
     if !snatch {
-        b.disable_snatching();
+        sim.disable_snatching();
     }
-    let mut sim = SimBox::B(Box::new(b));
     run_on(
         &mut sim,
         Arch::baseline(),
@@ -415,13 +348,15 @@ fn run_observed_with_placement(
 ) -> ObservedRun {
     use std::sync::{Arc, Mutex};
 
-    let mut sim = SimBox::with_placement(arch, cfg, model, placement);
     let (msink, hists) = MetricsSink::new(model.persistency);
     let ring = Arc::new(Mutex::new(RingRecorder::new(trace_capacity.max(1))));
     let ring_sink: SharedSink = ring.clone();
-    sim.attach_tracer(vec![Arc::new(Mutex::new(msink)), ring_sink]);
-
-    let result = run_on(&mut sim, arch, cfg, model, spec, seed, clients_per_node);
+    let sinks: Vec<SharedSink> = vec![Arc::new(Mutex::new(msink)), ring_sink];
+    let (result, gauges) = with_sim!(arch, cfg, model, placement, |sim| {
+        sim.attach_tracer(sinks);
+        let result = run_on(&mut sim, arch, cfg, model, spec, seed, clients_per_node);
+        (result, sim.gauges().clone())
+    });
 
     let records = ring.lock().expect("ring poisoned").to_vec();
     let ops = analyze(&records);
@@ -436,14 +371,14 @@ fn run_observed_with_placement(
     ObservedRun {
         result,
         hists,
-        gauges: sim.gauges().clone(),
+        gauges,
         breakdown,
         analyzed_ops: ops.len() as u64,
     }
 }
 
-fn run_on(
-    sim: &mut SimBox,
+fn run_on<P: Machine>(
+    sim: &mut Sim<P>,
     arch_label: Arch,
     cfg: &SimConfig,
     model: DdpModel,
@@ -527,8 +462,8 @@ fn run_on(
 }
 
 /// Submits the client's next operation (or its pending `[PERSIST]sc`).
-fn submit_next(
-    sim: &mut SimBox,
+fn submit_next<P: Machine>(
+    sim: &mut Sim<P>,
     clients: &mut [Client],
     idx: usize,
     at: Time,
@@ -617,7 +552,6 @@ pub fn run_deathstar(
     let mut cfg = cfg.clone();
     cfg.datacenter_rtt_ns = 0;
     let cfg = &cfg;
-    let mut sim = SimBox::new(arch, cfg, model);
     let scoped = model.persistency == PersistencyModel::Scope;
 
     // Per-node login chains: each node executes its logins sequentially,
@@ -662,8 +596,8 @@ pub fn run_deathstar(
     let mut login_lat = LatencyStats::new();
 
     #[allow(clippy::too_many_arguments)]
-    fn submit_chain_op(
-        sim: &mut SimBox,
+    fn submit_chain_op<P: Machine>(
+        sim: &mut Sim<P>,
         chains: &mut [Chain],
         ci: usize,
         done_at: Time,
@@ -712,35 +646,36 @@ pub fn run_deathstar(
         }
     }
 
-    for ci in 0..chains.len() {
-        submit_chain_op(
-            &mut sim,
-            &mut chains,
-            ci,
-            0,
-            op_rtt,
-            scoped,
-            &mut pending,
-            &mut login_lat,
-        );
-    }
-
-    while sim.step() {
-        for rec in sim.drain_completions() {
-            if let Some(ci) = pending.remove(&rec.req) {
-                submit_chain_op(
-                    &mut sim,
-                    &mut chains,
-                    ci,
-                    rec.at,
-                    op_rtt,
-                    scoped,
-                    &mut pending,
-                    &mut login_lat,
-                );
+    with_sim!(arch, cfg, model, None, |sim| {
+        for ci in 0..chains.len() {
+            submit_chain_op(
+                &mut sim,
+                &mut chains,
+                ci,
+                0,
+                op_rtt,
+                scoped,
+                &mut pending,
+                &mut login_lat,
+            );
+        }
+        while sim.step() {
+            for rec in sim.drain_completions() {
+                if let Some(ci) = pending.remove(&rec.req) {
+                    submit_chain_op(
+                        &mut sim,
+                        &mut chains,
+                        ci,
+                        rec.at,
+                        op_rtt,
+                        scoped,
+                        &mut pending,
+                        &mut login_lat,
+                    );
+                }
             }
         }
-    }
+    });
 
     DeathstarResult {
         arch,
@@ -984,16 +919,17 @@ pub fn run_open_loop(
         let replicas = u16::try_from((cfg.nodes / 2).max(1)).expect("node count fits u16");
         ShardMap::uniform(2, cfg.nodes, replicas)
     });
-    let mut sim = SimBox::with_placement(arch, &cfg, model, placement.as_ref());
     let schedule = spec.schedule(seed);
-    open_loop_replay(&mut sim, arch, model, spec, schedule, cfg.nodes)
+    with_sim!(arch, &cfg, model, placement.as_ref(), |sim| {
+        open_loop_replay(&mut sim, arch, model, spec, schedule, cfg.nodes)
+    })
 }
 
 /// The open-loop replay core: submits `schedule` against a prepared
 /// simulation and runs it dry. Shared by [`run_open_loop`] and the
 /// [`ParMode::Single`] arm of [`run_open_loop_sharded`].
-fn open_loop_replay(
-    sim: &mut SimBox,
+fn open_loop_replay<P: Machine>(
+    sim: &mut Sim<P>,
     arch: Arch,
     model: DdpModel,
     spec: &OpenLoopSpec,
@@ -1268,10 +1204,16 @@ fn run_group(
     subs: Vec<SubArrival>,
     sinks: Option<Vec<SharedSink>>,
 ) -> GroupOut {
-    let mut sim = SimBox::with_placement(arch, cfg, model, Some(map));
-    if let Some(sinks) = sinks {
-        sim.attach_tracer(sinks);
-    }
+    with_sim!(arch, cfg, model, Some(map), |sim| {
+        if let Some(sinks) = sinks {
+            sim.attach_tracer(sinks);
+        }
+        replay_group(&mut sim, model, subs)
+    })
+}
+
+/// [`run_group`]'s replay loop on a prepared simulation.
+fn replay_group<P: Machine>(sim: &mut Sim<P>, model: DdpModel, subs: Vec<SubArrival>) -> GroupOut {
     let scoped = model.persistency == PersistencyModel::Scope;
     // Arrival idx → (legs outstanding here, latest leg completion).
     let mut arrs: HashMap<u32, (u32, Time)> = HashMap::new();
@@ -1315,7 +1257,7 @@ fn run_group(
     }
     GroupOut {
         done,
-        events: sim.events(),
+        events: sim.events_processed(),
     }
 }
 
@@ -1373,15 +1315,16 @@ pub fn run_open_loop_sharded_traced(
     let schedule = spec.schedule(seed);
 
     if mode == ParMode::Single {
-        let mut sim = SimBox::with_placement(arch, &cfg, model, Some(map));
-        if let Some(f) = sinks_for {
-            sim.attach_tracer(f(0));
-        }
-        let result = open_loop_replay(&mut sim, arch, model, spec, schedule, cfg.nodes);
-        return ShardedOpenLoop {
-            result,
-            events: sim.events(),
-        };
+        return with_sim!(arch, &cfg, model, Some(map), |sim| {
+            if let Some(f) = sinks_for {
+                sim.attach_tracer(f(0));
+            }
+            let result = open_loop_replay(&mut sim, arch, model, spec, schedule, cfg.nodes);
+            ShardedOpenLoop {
+                result,
+                events: sim.events_processed(),
+            }
+        });
     }
 
     assert!(

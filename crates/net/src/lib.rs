@@ -41,12 +41,14 @@
 
 mod arch;
 mod bsim;
+mod des;
 pub mod driver;
 mod osim;
 mod timing;
 
 pub use arch::Arch;
 pub use bsim::BSim;
+pub use des::{Machine, Sim};
 pub use driver::{
     run_observed, run_observed_sharded, run_open_loop, run_open_loop_sharded,
     run_open_loop_sharded_traced, run_rolling_restart, run_sharded, run_slo_curve,

@@ -1,39 +1,14 @@
 //! The simulated MINOS-O machine: SmartNIC-offloaded protocol execution.
 
-use crate::arch::Arch;
-use crate::bsim::{ViewChange, SIM_LEASE_NS};
+use crate::des::{Env, Machine, NicPort, Sim};
 use crate::driver::{CompletionKind, CompletionRec};
 use crate::timing::{self, DISPATCH_NS};
-use minos_core::obs::{GaugeKind, GaugeSet, SharedSink, TraceClock, Tracer, GAUGE_NODE_ALL};
-use minos_core::runtime::{self, ODispatchStats, ODispatcher, OSink, ShardRouter, Transport};
+use minos_core::obs::{GaugeKind, GaugeSet};
+use minos_core::runtime::{self, OSink, Transport};
 use minos_core::{OAction, OEvent, ONodeEngine, PcieMsg, ReqId, Side};
-use minos_sim::{BoundedFifo, CorePool, DepthTracker, EventQueue, Resource, Time};
+use minos_sim::{BoundedFifo, CorePool, Resource, Time};
 use minos_types::wire::TraceCtx;
-use minos_types::{
-    DdpModel, Key, MembershipView, Message, MessageKind, NodeId, ScopeId, ShardMap, SimConfig, Ts,
-    Value,
-};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-#[derive(Debug, Clone)]
-struct ONodeRes {
-    host_cores: CorePool,
-    snic_cores: CorePool,
-    /// Host→SNIC PCIe bandwidth.
-    pcie_down: Resource,
-    /// SNIC→host PCIe bandwidth.
-    pcie_up: Resource,
-    /// SNIC network send engine.
-    nic_tx: Resource,
-    vfifo: BoundedFifo,
-    dfifo: BoundedFifo,
-    /// Telemetry companion: host→SNIC PCIe submission-queue depth.
-    pcie_depth: DepthTracker,
-    /// Telemetry companion: SNIC wire-TX queue depth.
-    nic_depth: DepthTracker,
-}
+use minos_types::{Key, Message, MessageKind, NodeId, ScopeId, SimConfig, Ts, Value};
 
 /// The MINOS-O discrete-event simulation.
 ///
@@ -45,578 +20,98 @@ struct ONodeRes {
 /// With `Arch { batching: false, .. }` or `broadcast: false` this also
 /// models the intermediate Figure 12 points (Combined, Combined+batch,
 /// Combined+bcast).
-#[derive(Debug)]
-pub struct OSim {
-    cfg: SimConfig,
-    arch: Arch,
-    engines: Vec<ONodeEngine>,
-    dispatchers: Vec<ODispatcher>,
-    /// Scheduled deliveries with the causing dispatch's trace context
-    /// (see [`crate::bsim::BSim`]'s queue).
-    queue: EventQueue<(NodeId, OEvent, Option<TraceCtx>)>,
-    nodes: Vec<ONodeRes>,
-    completions: Vec<CompletionRec>,
-    /// Write submission times, for latency bookkeeping by the driver.
-    next_req: u64,
-    /// Virtual-clock source shared with attached tracers: holds the
-    /// simulated time of the event being dispatched.
-    vclock: Option<Arc<AtomicU64>>,
-    /// Resource telemetry, sampled every `cfg.telemetry_tick_ns` of
-    /// virtual time (PCIe bytes and batch fill accumulate event-driven).
-    gauges: GaugeSet,
-    /// Next virtual-time telemetry sample point.
-    next_sample: Time,
-    /// Completions already handed out through `drain_completions`.
-    drained: u64,
-    /// Events processed by [`OSim::step`] so far (see
-    /// [`BSim::events_processed`](crate::bsim::BSim::events_processed)).
-    events: u64,
-    /// Key → shard-group routing and multi-op barriers; identity when the
-    /// simulation is unsharded. MINOS-O engines have no redirect path, so
-    /// on a sharded simulation this facade routing is what keeps every
-    /// submit on a replica.
-    router: ShardRouter,
-    /// Requests routed off their origin node: req → origin.
-    routed: HashMap<ReqId, NodeId>,
-    /// Barrier parents: parent req → (origin, completion kind).
-    parents: HashMap<ReqId, (NodeId, CompletionKind)>,
-    /// Latest child completion seen per parent.
-    parent_hwm: HashMap<ReqId, Time>,
-    /// Submitted-minus-completed keyed ops per shard (sharded only).
-    inflight_by_shard: BTreeMap<u32, u64>,
-    /// Scheduled membership actions (see [`crate::bsim::BSim`]). The
-    /// offloaded engine has no failure detector — its quorums always
-    /// span the full replica group — so O-side view changes are
-    /// *quiesced*: they fire only between client batches, and the
-    /// harness panics if an operation is still in flight.
-    ctrl: Vec<(Time, ViewChange)>,
-    /// Epoch/lease membership view; simulated time feeds the lease
-    /// clock.
-    view: MembershipView,
+///
+/// The offloaded engine has no failure detector, so view changes
+/// scheduled with [`Sim::schedule_crash`]/[`Sim::schedule_rejoin`] are
+/// *quiesced*: they must fire between client batches, and the simulation
+/// panics if an operation is still in flight.
+pub type OSim = Sim<ONodeEngine>;
+
+/// Per-node MINOS-O hardware.
+#[derive(Debug, Clone)]
+pub struct ONodeRes {
+    host_cores: CorePool,
+    snic_cores: CorePool,
+    /// Host→SNIC PCIe bandwidth.
+    pcie_down: Resource,
+    /// SNIC→host PCIe bandwidth.
+    pcie_up: Resource,
+    vfifo: BoundedFifo,
+    dfifo: BoundedFifo,
+    /// SNIC network send engine and the send-queue depth trackers.
+    port: NicPort,
 }
 
-impl OSim {
-    /// Builds the simulation for `cfg.nodes` nodes running `model`.
-    #[must_use]
-    pub fn new(cfg: SimConfig, arch: Arch, model: DdpModel) -> Self {
-        assert!(arch.offload, "OSim models offloaded architectures");
-        let n = cfg.nodes;
-        OSim {
-            engines: (0..n)
-                .map(|i| ONodeEngine::new(NodeId(i as u16), n, model))
-                .collect(),
-            dispatchers: vec![ODispatcher::new(); n],
-            nodes: (0..n)
-                .map(|_| ONodeRes {
-                    host_cores: CorePool::new(cfg.host_cores),
-                    snic_cores: CorePool::new(cfg.snic_cores),
-                    pcie_down: Resource::new(),
-                    pcie_up: Resource::new(),
-                    nic_tx: Resource::new(),
-                    vfifo: BoundedFifo::new(cfg.vfifo_entries),
-                    dfifo: BoundedFifo::new(cfg.dfifo_entries),
-                    pcie_depth: DepthTracker::new(),
-                    nic_depth: DepthTracker::new(),
-                })
-                .collect(),
-            queue: EventQueue::new(),
-            completions: Vec::new(),
-            next_req: 1,
-            vclock: None,
-            gauges: GaugeSet::new(),
-            next_sample: 0,
-            drained: 0,
-            events: 0,
-            router: ShardRouter::new(None),
-            routed: HashMap::new(),
-            parents: HashMap::new(),
-            parent_hwm: HashMap::new(),
-            inflight_by_shard: BTreeMap::new(),
-            ctrl: Vec::new(),
-            view: MembershipView::new(n, SIM_LEASE_NS, 0),
-            cfg,
-            arch,
-        }
+impl Machine for ONodeEngine {
+    type Hw = Vec<ONodeRes>;
+    type Sink<'a> = OSimHandler<'a>;
+
+    const OFFLOAD: bool = true;
+
+    fn hw(cfg: &SimConfig) -> Vec<ONodeRes> {
+        (0..cfg.nodes)
+            .map(|_| ONodeRes {
+                host_cores: CorePool::new(cfg.host_cores),
+                snic_cores: CorePool::new(cfg.snic_cores),
+                pcie_down: Resource::new(),
+                pcie_up: Resource::new(),
+                vfifo: BoundedFifo::new(cfg.vfifo_entries),
+                dfifo: BoundedFifo::new(cfg.dfifo_entries),
+                port: NicPort::default(),
+            })
+            .collect()
     }
 
-    /// Builds a sharded simulation over `map`'s nodes (see
-    /// [`BSim::with_placement`](crate::bsim::BSim::with_placement)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` does not span exactly `cfg.nodes` nodes.
-    #[must_use]
-    pub fn with_placement(cfg: SimConfig, arch: Arch, model: DdpModel, map: ShardMap) -> Self {
-        assert_eq!(map.n_nodes(), cfg.nodes, "placement/config node mismatch");
-        let mut sim = OSim::new(cfg, arch, model);
-        for e in &mut sim.engines {
-            e.set_placement(Some(map.clone()));
-        }
-        sim.router = ShardRouter::new(Some(map));
-        sim
-    }
-
-    /// The placement map, if this simulation is sharded.
-    #[must_use]
-    pub fn placement(&self) -> Option<&ShardMap> {
-        self.router.map()
-    }
-
-    /// Attaches observability sinks to every node's dispatcher. Records
-    /// are stamped with simulated time (a virtual clock that tracks the
-    /// event queue), so traces replay on the same axis as the DES.
-    pub fn attach_tracer(&mut self, sinks: Vec<SharedSink>) {
-        let source = Arc::new(AtomicU64::new(0));
-        for (i, d) in self.dispatchers.iter_mut().enumerate() {
-            d.set_tracer(Some(Tracer::new(
-                NodeId(i as u16),
-                TraceClock::virtual_time(Arc::clone(&source)),
-                sinks.clone(),
-            )));
-        }
-        self.vclock = Some(source);
-    }
-
-    /// Current simulated time.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        self.queue.now()
-    }
-
-    /// Pre-loads a record on every node that replicates it.
-    pub fn load_all(&mut self, key: Key, value: Value) {
-        for e in &mut self.engines {
-            if e.is_replica(key) {
-                e.load_record(key, value.clone());
-            }
-        }
-    }
-
-    fn note_submitted(&mut self, key: Key) {
-        if let Some(map) = self.router.map() {
-            let shard = map.shard_of(key).0;
-            *self.inflight_by_shard.entry(shard).or_insert(0) += 1;
-        }
-    }
-
-    /// Schedules `ev` at `coord`, charging the one-way routing hop when
-    /// the op was submitted at a different node.
-    fn route_schedule(&mut self, at: Time, origin: NodeId, coord: NodeId, req: ReqId, ev: OEvent) {
-        let at = if coord == origin {
-            at
-        } else {
-            self.routed.insert(req, origin);
-            at + timing::route_hop_ns(&self.cfg)
-        };
-        self.queue.schedule(at, (coord, ev, None));
-    }
-
-    /// Submits a client write, routed to a replica of its key's shard.
-    pub fn submit_write(
-        &mut self,
-        at: Time,
-        node: NodeId,
-        key: Key,
-        value: Value,
-        scope: Option<ScopeId>,
-    ) -> ReqId {
-        let req = self.fresh_req();
-        let coord = self.router.route_write(node, key, scope);
-        self.note_submitted(key);
-        self.route_schedule(
-            at,
-            node,
-            coord,
-            req,
-            OEvent::ClientWrite {
-                key,
-                value,
-                scope,
-                req,
-            },
-        );
-        req
-    }
-
-    /// Submits a client read, routed to a serving replica.
-    pub fn submit_read(&mut self, at: Time, node: NodeId, key: Key) -> ReqId {
-        let req = self.fresh_req();
-        let serving = self.router.serving(node, key);
-        self.note_submitted(key);
-        self.route_schedule(at, node, serving, req, OEvent::ClientRead { key, req });
-        req
-    }
-
-    /// Submits a multi-key write batch (see
-    /// [`BSim::submit_write_multi`](crate::bsim::BSim::submit_write_multi)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `writes` is empty.
-    pub fn submit_write_multi(
-        &mut self,
-        at: Time,
-        node: NodeId,
-        writes: Vec<(Key, Value)>,
-        scope: Option<ScopeId>,
-    ) -> ReqId {
-        assert!(!writes.is_empty(), "empty multi-key write batch");
-        let req = self.fresh_req();
-        let children: Vec<ReqId> = writes.iter().map(|_| self.fresh_req()).collect();
-        self.router.begin_barrier(req, &children);
-        self.parents.insert(req, (node, CompletionKind::MultiWrite));
-        for ((key, value), child) in writes.into_iter().zip(children) {
-            let coord = self.router.route_write(node, key, scope);
-            self.note_submitted(key);
-            self.route_schedule(
-                at,
-                node,
-                coord,
-                child,
-                OEvent::ClientWrite {
-                    key,
-                    value,
-                    scope,
-                    req: child,
-                },
-            );
-        }
-        req
-    }
-
-    /// Submits a `[PERSIST]sc`, fanned out to every recorded coordinator
-    /// on a sharded simulation.
-    pub fn submit_persist_scope(&mut self, at: Time, node: NodeId, scope: ScopeId) -> ReqId {
-        let req = self.fresh_req();
-        if self.router.map().is_some() {
-            let coords = self.router.scope_coordinators(node, scope);
-            let children: Vec<ReqId> = coords.iter().map(|_| self.fresh_req()).collect();
-            self.router.begin_barrier(req, &children);
-            self.parents
-                .insert(req, (node, CompletionKind::PersistScope));
-            for (coord, child) in coords.into_iter().zip(children) {
-                self.route_schedule(
-                    at,
-                    node,
-                    coord,
-                    child,
-                    OEvent::ClientPersistScope { scope, req: child },
-                );
-            }
-        } else {
-            self.queue
-                .schedule(at, (node, OEvent::ClientPersistScope { scope, req }, None));
-        }
-        req
-    }
-
-    fn fresh_req(&mut self) -> ReqId {
-        let r = ReqId(self.next_req);
-        self.next_req += 1;
-        r
-    }
-
-    /// Drains recorded completions; routed requests pay the return hop
-    /// and barrier children fold into their parent (see
-    /// [`BSim::drain_completions`](crate::bsim::BSim::drain_completions)).
-    pub fn drain_completions(&mut self) -> Vec<CompletionRec> {
-        let raw = std::mem::take(&mut self.completions);
-        let mut out = Vec::with_capacity(raw.len());
-        for mut rec in raw {
-            if self.routed.remove(&rec.req).is_some() {
-                rec.at += timing::route_hop_ns(&self.cfg);
-            }
-            if let Some(key) = rec.key {
-                if let Some(map) = self.router.map() {
-                    let shard = map.shard_of(key).0;
-                    if let Some(n) = self.inflight_by_shard.get_mut(&shard) {
-                        *n = n.saturating_sub(1);
-                    }
-                }
-            }
-            match self.router.parent_of(rec.req) {
-                None => out.push(rec),
-                Some(parent) => {
-                    let hwm = self.parent_hwm.entry(parent).or_insert(0);
-                    *hwm = (*hwm).max(rec.at);
-                    if self.router.complete_child(rec.req).is_some() {
-                        let (origin, kind) = self.parents.remove(&parent).expect("parent recorded");
-                        let at = self.parent_hwm.remove(&parent).unwrap_or(rec.at);
-                        out.push(CompletionRec {
-                            req: parent,
-                            node: origin,
-                            at,
-                            kind,
-                            key: None,
-                            ts: Ts::zero(),
-                            obsolete: false,
-                            comm_ns: None,
-                        });
-                    }
-                }
-            }
-        }
-        self.drained += out.len() as u64;
-        out
-    }
-
-    /// The resource-telemetry gauges accumulated so far.
-    #[must_use]
-    pub fn gauges(&self) -> &GaugeSet {
-        &self.gauges
-    }
-
-    /// Samples the level gauges at virtual time `t` when a telemetry
-    /// tick boundary has been crossed (one sample per crossing).
-    fn sample_gauges(&mut self, t: Time) {
-        let tick = self.cfg.telemetry_tick_ns;
-        if tick == 0 || t < self.next_sample {
-            return;
-        }
-        self.next_sample = (t / tick + 1) * tick;
-        self.gauges.observe(
-            GaugeKind::EventQueueDepth,
-            GAUGE_NODE_ALL,
-            self.queue.len() as u64,
-        );
-        for (i, res) in self.nodes.iter_mut().enumerate() {
+    fn sample_hw(hw: &mut Vec<ONodeRes>, t: Time, gauges: &mut GaugeSet) {
+        for (i, res) in hw.iter_mut().enumerate() {
             let node = i as u32;
-            self.gauges.observe(
+            gauges.observe(
                 GaugeKind::VfifoOccupancy,
                 node,
                 res.vfifo.occupancy(t) as u64,
             );
-            self.gauges.observe(
+            gauges.observe(
                 GaugeKind::DfifoOccupancy,
                 node,
                 res.dfifo.occupancy(t) as u64,
             );
-            self.gauges.observe(
-                GaugeKind::HostSendQueue,
-                node,
-                res.pcie_depth.depth(t) as u64,
-            );
-            self.gauges
-                .observe(GaugeKind::NicSendQueue, node, res.nic_depth.depth(t) as u64);
-        }
-        match self.router.map().cloned() {
-            Some(map) => {
-                for (i, e) in self.engines.iter().enumerate() {
-                    let by_shard = e.locked_records_by_shard(&map);
-                    for sh in map.shards_on(NodeId(i as u16)) {
-                        let n = by_shard.get(&sh.0).copied().unwrap_or(0);
-                        self.gauges.observe_shard(
-                            GaugeKind::LockTableSize,
-                            i as u32,
-                            sh.0,
-                            n as u64,
-                        );
-                    }
-                }
-                for (&shard, &n) in &self.inflight_by_shard {
-                    self.gauges
-                        .observe_shard(GaugeKind::InflightTxs, GAUGE_NODE_ALL, shard, n);
-                }
-            }
-            None => {
-                for (i, e) in self.engines.iter().enumerate() {
-                    self.gauges.observe(
-                        GaugeKind::LockTableSize,
-                        i as u32,
-                        e.locked_records() as u64,
-                    );
-                }
-                let issued = self.next_req - 1;
-                let done = self.drained + self.completions.len() as u64;
-                self.gauges.observe(
-                    GaugeKind::InflightTxs,
-                    GAUGE_NODE_ALL,
-                    issued.saturating_sub(done),
-                );
-            }
+            res.port.sample(node, t, gauges);
         }
     }
 
-    /// Access to a node's engine.
-    #[must_use]
-    pub fn engine(&self, node: NodeId) -> &ONodeEngine {
-        &self.engines[node.0 as usize]
-    }
-
-    /// Which side executes a given event's handler.
-    fn side_of(ev: &OEvent) -> Side {
-        match ev {
-            OEvent::ClientWrite { .. }
-            | OEvent::HostStart { .. }
-            | OEvent::ClientRead { .. }
-            | OEvent::ClientPersistScope { .. }
-            | OEvent::PcieFromSnic(_) => Side::Host,
-            OEvent::PcieFromHost(_)
-            | OEvent::NetMessage { .. }
-            | OEvent::VfifoDrained { .. }
-            | OEvent::DfifoDrained { .. } => Side::Snic,
-        }
-    }
-
-    /// Per-node dispatch statistics (protocol actions interpreted for
-    /// `node` so far).
-    #[must_use]
-    pub fn dispatch_stats(&self, node: NodeId) -> &ODispatchStats {
-        self.dispatchers[node.0 as usize].stats()
-    }
-
-    /// Schedules a *quiesced* crash of `node` at `at`: every engine must
-    /// be idle when the action fires (the offloaded protocol has no
-    /// failure handling, so a mid-flight crash would stall the full-group
-    /// quorum forever). Volatile state is lost and the epoch advances.
-    pub fn schedule_crash(&mut self, at: Time, node: NodeId) {
-        self.ctrl.push((at, ViewChange::Crash(node)));
-    }
-
-    /// Schedules the quiesced rejoin of a crashed `node` at `at` with
-    /// `donor` as the catch-up source; the node re-enters the serving
-    /// set after [`timing::catchup_ns`].
-    pub fn schedule_rejoin(&mut self, at: Time, node: NodeId, donor: NodeId) {
-        self.ctrl
-            .push((at, ViewChange::BeginRejoin { node, donor }));
-    }
-
-    /// The epoch/lease membership view in force.
-    #[must_use]
-    pub fn membership(&self) -> &MembershipView {
-        &self.view
-    }
-
-    /// The current view epoch.
-    #[must_use]
-    pub fn view_epoch(&self) -> u64 {
-        self.view.epoch()
-    }
-
-    /// Pops the earliest scheduled view change if due before (or at) the
-    /// next protocol event.
-    fn pop_ctrl_due(&mut self) -> Option<(Time, ViewChange)> {
-        let idx = self
-            .ctrl
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (t, _))| *t)
-            .map(|(i, _)| i)?;
-        let t = self.ctrl[idx].0;
-        if self.queue.peek_time().is_none_or(|evt| t <= evt) {
-            Some(self.ctrl.remove(idx))
-        } else {
-            None
-        }
-    }
-
-    /// Applies one due view change at `t` (quiesced — see
-    /// [`OSim::schedule_crash`]).
-    fn apply_view_change(&mut self, t: Time, vc: ViewChange) {
-        assert!(
-            self.engines.iter().all(ONodeEngine::is_quiescent),
-            "O-sim view changes must be quiesced"
-        );
-        if let Some(v) = &self.vclock {
-            v.store(t, Ordering::Relaxed);
-        }
-        self.sample_gauges(t);
-        match vc {
-            ViewChange::Crash(node) => {
-                let ni = node.0 as usize;
-                let n = self.engines.len();
-                let model = self.engines[ni].model();
-                self.engines[ni] = ONodeEngine::new(node, n, model);
-                self.engines[ni].set_placement(self.router.map().cloned());
-                self.dispatchers[ni] = ODispatcher::new();
-                let _ = self.view.mark_down(node);
-            }
-            ViewChange::BeginRejoin { node, donor } => {
-                if !self.view.is_serving(donor) || self.view.begin_rejoin(node).is_err() {
-                    return;
-                }
-                let ni = node.0 as usize;
-                let records: Vec<(Key, Ts, Value)> = self.engines[donor.0 as usize]
-                    .keys()
-                    .into_iter()
-                    .filter(|&k| self.engines[ni].is_replica(k))
-                    .map(|k| {
-                        let e = &self.engines[donor.0 as usize];
-                        (
-                            k,
-                            e.record_meta(k).volatile_ts,
-                            e.record_value(k).unwrap_or_default(),
-                        )
-                    })
-                    .collect();
-                let bytes: u64 = records.iter().map(|(_, _, v)| v.len() as u64).sum();
-                let cost = timing::catchup_ns(&self.cfg, records.len() as u64, bytes);
-                for (k, ts, v) in records {
-                    self.engines[ni].install_recovered(k, ts, v);
-                }
-                self.ctrl.push((t + cost, ViewChange::Readmit(node)));
-            }
-            ViewChange::Readmit(node) => {
-                self.view
-                    .complete_rejoin(node, t)
-                    .expect("readmit follows begin_rejoin");
-            }
-        }
-    }
-
-    /// Events processed by [`OSim::step`] so far.
-    #[must_use]
-    pub fn events_processed(&self) -> u64 {
-        self.events
-    }
-
-    /// Processes one simulated event. Returns false when idle.
-    pub fn step(&mut self) -> bool {
-        if let Some((t, vc)) = self.pop_ctrl_due() {
-            self.events += 1;
-            self.apply_view_change(t, vc);
-            return true;
-        }
-        let Some((t, (node, ev, ctx))) = self.queue.pop() else {
-            return false;
-        };
-        self.events += 1;
-        // A node outside the serving set neither receives nor computes.
-        if !self.view.is_serving(node) {
-            return true;
-        }
-        let ni = node.0 as usize;
-        if let Some(v) = &self.vclock {
-            v.store(t, Ordering::Relaxed);
-        }
-        self.sample_gauges(t);
-        let side = Self::side_of(&ev);
-
-        let n_nodes = self.engines.len();
-        let mut handler = OSimHandler {
-            cfg: &self.cfg,
-            arch: self.arch,
+    fn sink<'a>(
+        env: Env<'a, ONodeEngine>,
+        hw: &'a mut Vec<ONodeRes>,
+        node: NodeId,
+        t: Time,
+        event: Option<&OEvent>,
+    ) -> OSimHandler<'a> {
+        OSimHandler {
+            env,
             node,
-            n_nodes,
-            placement: self.router.map(),
-            side,
+            side: event.map_or(Side::Host, side_of),
             t,
             end: t,
             vq_done: None,
             dq_done: None,
             ctx: None,
-            res: &mut self.nodes[ni],
-            queue: &mut self.queue,
-            completions: &mut self.completions,
-            gauges: &mut self.gauges,
-        };
-        self.dispatchers[ni].dispatch_ctx(&mut self.engines[ni], ev, ctx, &mut handler);
-        true
+            res: &mut hw[node.0 as usize],
+        }
     }
+}
 
-    /// Runs until the event queue is empty.
-    pub fn run_to_idle(&mut self) {
-        while self.step() {}
+/// Which side executes a given event's handler.
+fn side_of(ev: &OEvent) -> Side {
+    match ev {
+        OEvent::ClientWrite { .. }
+        | OEvent::HostStart { .. }
+        | OEvent::ClientRead { .. }
+        | OEvent::ClientPersistScope { .. }
+        | OEvent::PcieFromSnic(_) => Side::Host,
+        OEvent::PcieFromHost(_)
+        | OEvent::NetMessage { .. }
+        | OEvent::VfifoDrained { .. }
+        | OEvent::DfifoDrained { .. } => Side::Snic,
     }
 }
 
@@ -624,13 +119,9 @@ impl OSim {
 /// streams actions in emission order, so the FIFO-enqueue sink calls are
 /// seen *before* the sends they semantically precede — the handler
 /// records their completion times and gates later sends on them (§V-C).
-struct OSimHandler<'a> {
-    cfg: &'a SimConfig,
-    arch: Arch,
+pub struct OSimHandler<'a> {
+    env: Env<'a, ONodeEngine>,
     node: NodeId,
-    n_nodes: usize,
-    /// Placement map (sharded runs): sizes per-key batch fan-outs.
-    placement: Option<&'a ShardMap>,
     /// Which side's cores run this event's handler.
     side: Side,
     /// Event arrival time.
@@ -645,9 +136,6 @@ struct OSimHandler<'a> {
     /// this dispatch schedules.
     ctx: Option<TraceCtx>,
     res: &'a mut ONodeRes,
-    queue: &'a mut EventQueue<(NodeId, OEvent, Option<TraceCtx>)>,
-    completions: &'a mut Vec<CompletionRec>,
-    gauges: &'a mut GaugeSet,
 }
 
 impl OSimHandler<'_> {
@@ -655,9 +143,9 @@ impl OSimHandler<'_> {
     /// replica group minus the coordinator under a placement map, all
     /// peers otherwise.
     fn batch_fanout(&self, key: Key) -> u64 {
-        match self.placement {
+        match self.env.placement {
             Some(map) => (map.replicas_of_key(key).len().saturating_sub(1)).max(1) as u64,
-            None => (self.n_nodes - 1).max(1) as u64,
+            None => (self.env.n_nodes - 1).max(1) as u64,
         }
     }
 
@@ -677,8 +165,8 @@ impl OSimHandler<'_> {
     }
 
     fn deliver(&mut self, to: NodeId, depart: Time, msg: Message) {
-        let arrival = depart + timing::link_time(self.cfg, &msg);
-        self.queue.schedule(
+        let arrival = depart + timing::link_time(self.env.cfg, &msg);
+        self.env.queue.schedule(
             arrival,
             (
                 to,
@@ -691,6 +179,7 @@ impl OSimHandler<'_> {
         );
     }
 
+    /// Records a client completion at this dispatch's core-release time.
     fn complete(
         &mut self,
         req: ReqId,
@@ -699,33 +188,25 @@ impl OSimHandler<'_> {
         ts: Ts,
         obsolete: bool,
     ) {
-        self.completions.push(CompletionRec {
-            req,
-            node: self.node,
-            at: self.end,
-            kind,
+        self.env.completions.push(CompletionRec {
             key,
             ts,
             obsolete,
-            comm_ns: None,
+            ..CompletionRec::new(req, self.node, self.end, kind)
         });
     }
-}
 
-impl OSimHandler<'_> {
     /// Occupies the SNIC send engine, feeding the TX-queue-depth
     /// telemetry tracker.
     fn nic_tx(&mut self, from: Time, cost: Time) -> Time {
-        let depart = self.res.nic_tx.acquire(from, cost);
-        self.res.nic_depth.on_acquire(depart);
-        depart
+        self.res.port.send(from, cost)
     }
 }
 
 impl Transport for OSimHandler<'_> {
     fn send(&mut self, to: NodeId, msg: Message) {
         let start = self.send_gate(&msg);
-        let depart = self.nic_tx(start, timing::send_cost(self.cfg, &msg));
+        let depart = self.nic_tx(start, timing::send_cost(self.env.cfg, &msg));
         self.deliver(to, depart, msg);
     }
 
@@ -739,20 +220,20 @@ impl Transport for OSimHandler<'_> {
     /// "Combined+batching is slower" effect).
     fn broadcast(&mut self, dests: &[NodeId], msg: Message) {
         let start = self.send_gate(&msg);
-        let send = timing::send_cost(self.cfg, &msg);
-        if self.arch.broadcast {
+        let send = timing::send_cost(self.env.cfg, &msg);
+        if self.env.arch.broadcast {
             let depart = self.nic_tx(start, send);
             for &d in dests {
                 self.deliver(d, depart, msg.clone());
             }
         } else {
-            let base = if self.arch.batching {
-                start + self.cfg.batch_unpack_ns
+            let base = if self.env.arch.batching {
+                start + self.env.cfg.batch_unpack_ns
             } else {
                 start
             };
             for &d in dests {
-                let depart = self.nic_tx(base, send + self.cfg.inter_msg_gap_ns);
+                let depart = self.nic_tx(base, send + self.env.cfg.inter_msg_gap_ns);
                 self.deliver(d, depart, msg.clone());
             }
         }
@@ -764,9 +245,9 @@ impl OSink for OSimHandler<'_> {
         // Handler compute cost: dispatch + meta hints + coherence snoops.
         let cost: Time = DISPATCH_NS
             + runtime::o_meta_ops(actions)
-                .map(|(side, op)| timing::meta_cost(self.cfg, side, *op))
+                .map(|(side, op)| timing::meta_cost(self.env.cfg, side, *op))
                 .sum::<Time>()
-            + runtime::coherence_transfer_count(actions) as Time * self.cfg.coherence_snoop_ns;
+            + runtime::coherence_transfer_count(actions) as Time * self.env.cfg.coherence_snoop_ns;
         self.end = match self.side {
             Side::Host => self.res.host_cores.acquire(self.t, cost),
             Side::Snic => self.res.snic_cores.acquire(self.t, cost),
@@ -785,20 +266,21 @@ impl OSink for OSimHandler<'_> {
     /// what makes batching a loss until broadcast removes it (Figure 12).
     fn pcie(&mut self, from: Side, msg: PcieMsg) {
         let bytes = msg.wire_bytes();
-        let transfers = match (&msg, self.arch.batching) {
+        let transfers = match (&msg, self.env.arch.batching) {
             (PcieMsg::BatchedInv { key, .. }, false) => self.batch_fanout(*key),
             _ => 1,
         };
-        if self.arch.batching {
+        if self.env.arch.batching {
             if let PcieMsg::BatchedInv { key, .. } = &msg {
                 // One descriptor carried the whole fan-out: its fill is
                 // the destination count.
                 let fill = self.batch_fanout(*key);
-                self.gauges
+                self.env
+                    .gauges
                     .observe(GaugeKind::BatchFill, u32::from(self.node.0), fill);
             }
         }
-        self.gauges.add(
+        self.env.gauges.add(
             GaugeKind::PcieBytes,
             u32::from(self.node.0),
             bytes.max(64) * transfers,
@@ -807,56 +289,60 @@ impl OSink for OSimHandler<'_> {
             Side::Host => &mut self.res.pcie_down,
             Side::Snic => &mut self.res.pcie_up,
         };
-        let bw = (bytes.max(64) * 1_000_000_000 / self.cfg.pcie_bw_bytes_per_s).max(1);
+        let bw = (bytes.max(64) * 1_000_000_000 / self.env.cfg.pcie_bw_bytes_per_s).max(1);
         let mut bw_done = self.end;
         for _ in 0..transfers {
             bw_done = res.acquire(self.end, bw);
         }
         if from == Side::Host {
             // Host-side submissions feed the host send-queue gauge.
-            self.res.pcie_depth.on_acquire(bw_done);
+            self.res.port.pcie_depth.on_acquire(bw_done);
         }
-        let arrival = bw_done + self.cfg.pcie_latency_ns;
+        let arrival = bw_done + self.env.cfg.pcie_latency_ns;
         let ev = match from {
             Side::Host => OEvent::PcieFromHost(msg),
             Side::Snic => OEvent::PcieFromSnic(msg),
         };
-        self.queue.schedule(arrival, (self.node, ev, self.ctx));
+        self.env.queue.schedule(arrival, (self.node, ev, self.ctx));
     }
 
     fn vfifo_enqueue(&mut self, key: Key, ts: Ts, bytes: u64) {
-        let write = self.cfg.vfifo_write_ns(bytes);
+        let write = self.env.cfg.vfifo_write_ns(bytes);
         // Drain = DMA into the host LLC across PCIe.
-        let drain = self.cfg.pcie_transfer_ns(bytes) + self.cfg.llc_update_ns(bytes);
-        self.gauges
+        let drain = self.env.cfg.pcie_transfer_ns(bytes) + self.env.cfg.llc_update_ns(bytes);
+        self.env
+            .gauges
             .add(GaugeKind::PcieBytes, u32::from(self.node.0), bytes.max(64));
         let outcome = self.res.vfifo.enqueue(self.end, write, drain);
         self.vq_done = Some(outcome.enqueued_at);
-        self.queue.schedule(
+        self.env.queue.schedule(
             outcome.drained_at,
             (self.node, OEvent::VfifoDrained { key, ts }, self.ctx),
         );
     }
 
     fn dfifo_enqueue(&mut self, key: Key, ts: Ts, bytes: u64) {
-        let write = self.cfg.dfifo_write_ns(bytes);
+        let write = self.env.cfg.dfifo_write_ns(bytes);
         // The dFIFO write itself made the update durable. An entry hands
         // off to the DMA output register as soon as it reaches the head
         // (slot held for the write only); the background DMA append to
         // the host NVM log shows up in the drained-event time.
         let outcome = self.res.dfifo.enqueue(self.end, write, 0);
         self.dq_done = Some(outcome.enqueued_at);
-        self.gauges
+        self.env
+            .gauges
             .add(GaugeKind::PcieBytes, u32::from(self.node.0), bytes.max(64));
-        let dma_done = outcome.drained_at + self.cfg.pcie_transfer_ns(bytes);
-        self.queue.schedule(
+        let dma_done = outcome.drained_at + self.env.cfg.pcie_transfer_ns(bytes);
+        self.env.queue.schedule(
             dma_done,
             (self.node, OEvent::DfifoDrained { key, ts }, self.ctx),
         );
     }
 
     fn defer(&mut self, event: OEvent) {
-        self.queue.schedule(self.end, (self.node, event, self.ctx));
+        self.env
+            .queue
+            .schedule(self.end, (self.node, event, self.ctx));
     }
 
     fn write_done(&mut self, req: ReqId, key: Key, ts: Ts, obsolete: bool) {

@@ -44,7 +44,7 @@ mod resource;
 mod stats;
 
 pub use fifo::BoundedFifo;
-pub use queue::{EventQueue, HeapEventQueue};
+pub use queue::EventQueue;
 pub use resource::{CorePool, DepthTracker, Resource};
 pub use stats::LatencyStats;
 

@@ -1,19 +1,17 @@
 //! The time-ordered event scheduler.
 //!
-//! Two implementations share one contract — pop in ascending `(time,
-//! seq)` order, where `seq` is the insertion number and scheduling in
-//! the past clamps to `now`:
-//!
-//! * [`EventQueue`] — a calendar queue (bucketed timing wheel) with an
-//!   event arena. O(1) amortized schedule/pop for the dense, near-future
-//!   traffic a protocol simulation generates, with a spill heap for
-//!   far-future events (pre-scheduled open-loop arrivals).
-//! * [`HeapEventQueue`] — the original binary-heap scheduler, kept as
-//!   the reference implementation; the differential proptest in
-//!   `tests/` holds the two to identical pop sequences.
+//! [`EventQueue`] pops in ascending `(time, seq)` order, where `seq` is
+//! the insertion number and scheduling in the past clamps to `now`. It
+//! is a calendar queue (bucketed timing wheel) with an event arena:
+//! O(1) amortized schedule/pop for the dense, near-future traffic a
+//! protocol simulation generates, with a spill heap for far-future
+//! events (pre-scheduled open-loop arrivals). The original binary-heap
+//! scheduler lives on as the reference implementation in this crate's
+//! `tests/reference`; the differential proptest holds the two to
+//! identical pop sequences.
 
 use crate::Time;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Number of wheel buckets. Power of two so day→bucket is a mask.
@@ -83,7 +81,8 @@ impl Bucket {
 ///
 /// Events scheduled for the same instant pop in insertion order, making
 /// whole-simulation runs reproducible regardless of payload type. The
-/// pop sequence is bit-identical to [`HeapEventQueue`]'s.
+/// pop sequence is bit-identical to the binary-heap reference scheduler's
+/// (`tests/reference`).
 ///
 /// Layout: payloads live in a slab arena (`Vec<Option<E>>` plus a
 /// freelist) so bucket entries are small `Copy` triples and a
@@ -311,109 +310,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("pending", &self.len())
             .field("in_wheel", &self.in_wheel)
             .field("base_day", &self.base_day)
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reference implementation
-// ---------------------------------------------------------------------
-
-struct Entry<E> {
-    time: Time,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// The original binary-heap event queue: the reference the calendar
-/// queue is differentially tested against.
-#[derive(Default)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    now: Time,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue at time zero.
-    #[must_use]
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: 0,
-        }
-    }
-
-    /// The time of the most recently popped event.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Schedules `payload` at absolute time `at` (past clamps to `now`).
-    pub fn schedule(&mut self, at: Time, payload: E) {
-        let time = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { time, seq, payload });
-    }
-
-    /// Schedules `payload` at `now + delay`.
-    pub fn schedule_in(&mut self, delay: Time, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
-    /// Pops the earliest event, advancing `now` to its timestamp.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap.pop().map(|e| {
-            self.now = e.time;
-            (e.time, e.payload)
-        })
-    }
-
-    /// Timestamp of the next event without popping it.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> std::fmt::Debug for HeapEventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapEventQueue")
-            .field("now", &self.now)
-            .field("pending", &self.heap.len())
             .finish()
     }
 }

@@ -5,8 +5,11 @@
 //! and pops, including same-instant ties, bucket-width boundaries, and
 //! schedules spanning the wheel's horizon into the spill heap.
 
-use minos_sim::{EventQueue, HeapEventQueue};
+mod reference;
+
+use minos_sim::EventQueue;
 use proptest::prelude::*;
+use reference::HeapEventQueue;
 
 /// Bucket width (2^10 ns) and wheel span (4096 buckets) of the calendar
 /// queue; the generators below aim offsets at these edges on purpose.

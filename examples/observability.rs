@@ -6,9 +6,10 @@
 //! cargo run -p minos --example observability
 //! ```
 //!
-//! The same sinks attach to every harness (`BCluster::attach_tracer`,
-//! `MinosKv::attach_tracer`, `BSim::attach_tracer`, `minos-noded
-//! --trace-out/--metrics-out`); this example uses the threaded cluster
+//! The same sinks attach to every harness (`loopback::Cluster::attach_tracer`
+//! for `BCluster`/`OCluster`, `Sim::attach_tracer` for `BSim`/`OSim`,
+//! `MinosKv::attach_tracer`, `minos-noded --trace-out/--metrics-out`);
+//! this example uses the threaded cluster
 //! because its traces carry real wall-clock time. The JSONL file written
 //! here is exactly what `minos-trace <file>` replays from the command
 //! line.
