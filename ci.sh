@@ -120,6 +120,8 @@ if [ "$CHAOS" -eq 1 ]; then
         --fault phantom-persist@1 --expect-violation
     "$TORTURE" --runtime tcp --model synch --seeds 20 --clients 2 --ops 8 \
         --fault skip-inv@1 --expect-violation
+    "$TORTURE" --runtime tcp --model synch --seeds 20 --clients 2 --ops 8 \
+        --fault phantom-persist@1 --expect-violation
 
     echo "==> chaos: rebuild minos-torture (faults compiled out)"
     cargo build --release -p minos-check

@@ -1,6 +1,7 @@
 //! The cluster facade: spawning, client API, failure handling, shutdown.
 
-use crate::node::{spawn_node, NodeMsg, NodeThread};
+use crate::core::NodeCore;
+use crate::node::{spawn_node, NodeMsg, NodeThread, WheelIo};
 use crate::timer::TimerWheel;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use minos_core::obs::{shared_gauges, GaugeSet, SharedGauges, SharedSink, TraceClock, Tracer};
@@ -272,6 +273,18 @@ impl Cluster {
         coord
     }
 
+    /// The coordinator of an op on `key` submitted at `node`: the key's
+    /// serving replica (failed over to an alive one), recorded as a
+    /// flush target of `scope` if given.
+    fn coordinator(&self, node: NodeId, key: Key, scope: Option<ScopeId>) -> NodeId {
+        let mut router = self.router.lock();
+        let coord = self.route_alive(router.map(), router.serving(node, key), key);
+        if let Some(sc) = scope {
+            router.note_scope_route(node, sc, coord);
+        }
+        coord
+    }
+
     /// Writes `value` under `key`, coordinated by `node`; returns the
     /// write's timestamp.
     ///
@@ -296,24 +309,8 @@ impl Cluster {
         value: Value,
         scope: Option<ScopeId>,
     ) -> Result<Ts> {
-        self.check_alive(node)?;
-        let coord = {
-            let mut router = self.router.lock();
-            let coord = self.route_alive(router.map(), router.serving(node, key), key);
-            if let Some(sc) = scope {
-                router.note_scope_route(node, sc, coord);
-            }
-            coord
-        };
-        match self.submit(coord, |req| Event::ClientWrite {
-            key,
-            value,
-            scope,
-            req,
-        })? {
-            Outcome::Write { ts, .. } => Ok(ts),
-            _ => Err(MinosError::Shutdown),
-        }
+        let ts = self.put_multi(node, vec![(key, value)], scope)?;
+        Ok(ts[0])
     }
 
     /// Writes every `(key, value)` pair as one multi-key operation
@@ -341,14 +338,7 @@ impl Cluster {
         self.check_alive(node)?;
         let mut waits = Vec::with_capacity(writes.len());
         for (key, value) in writes {
-            let coord = {
-                let mut router = self.router.lock();
-                let coord = self.route_alive(router.map(), router.serving(node, key), key);
-                if let Some(sc) = scope {
-                    router.note_scope_route(node, sc, coord);
-                }
-                coord
-            };
+            let coord = self.coordinator(node, key, scope);
             let (req, rx) = self.submit_async(coord, |req| Event::ClientWrite {
                 key,
                 value,
@@ -384,10 +374,7 @@ impl Cluster {
     /// As for [`Cluster::put`].
     pub fn get_versioned(&self, node: NodeId, key: Key) -> Result<(Value, Ts)> {
         self.check_alive(node)?;
-        let coord = {
-            let router = self.router.lock();
-            self.route_alive(router.map(), router.serving(node, key), key)
-        };
+        let coord = self.coordinator(node, key, None);
         match self.submit(coord, |req| Event::ClientRead { key, req })? {
             Outcome::Read { value, ts } => Ok((value, ts)),
             _ => Err(MinosError::Shutdown),
@@ -452,7 +439,7 @@ impl Cluster {
         // nodes."
         for (i, nt) in self.nodes.iter().enumerate() {
             if i != node.0 as usize {
-                let _ = nt.tx.send(NodeMsg::PeerFailed { node });
+                let _ = nt.tx.send(NodeMsg::PeerStatus { node, up: false });
             }
         }
         true
@@ -466,38 +453,10 @@ impl Cluster {
     /// [`MinosError::Shutdown`] if the donor or rejoiner is unresponsive.
     pub fn recover_node(&self, node: NodeId, donor: NodeId) -> Result<()> {
         // Fetch the donor's committed log.
-        let (reply_tx, reply_rx) = bounded(1);
-        self.nodes[donor.0 as usize]
-            .tx
-            .send(NodeMsg::ShipLog {
-                since: 0,
-                reply: reply_tx,
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        let entries = reply_rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
+        let entries = self.ask(donor, |core| core.durable().entries_since(0))?;
 
-        // Replay on the rejoiner.
-        let (done_tx, done_rx) = bounded(1);
-        self.nodes[node.0 as usize]
-            .tx
-            .send(NodeMsg::Revive {
-                entries,
-                done: done_tx,
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
-
-        // Re-admit everywhere.
-        for (i, nt) in self.nodes.iter().enumerate() {
-            if i != node.0 as usize {
-                let _ = nt.tx.send(NodeMsg::PeerRecovered { node });
-            }
-        }
-        self.failed.lock()[node.0 as usize] = false;
+        // Replay on the rejoiner, then re-admit it everywhere.
+        self.revive(node, entries)?;
         // Best-effort view walk (Down → CatchingUp → Serving); callers
         // using the explicit donor API may not have marked the node down.
         {
@@ -505,6 +464,61 @@ impl Cluster {
             let _ = view.begin_rejoin(node);
             let _ = view.complete_rejoin(node, self.now_ns());
         }
+        Ok(())
+    }
+
+    /// Runs `query` against `node`'s core on its own thread and waits
+    /// for the answer.
+    fn ask<T: Send + 'static>(
+        &self,
+        node: NodeId,
+        query: impl FnOnce(&NodeCore<WheelIo>) -> T + Send + 'static,
+    ) -> Result<T> {
+        let nt = self
+            .nodes
+            .get(node.0 as usize)
+            .ok_or(MinosError::UnknownNode(node))?;
+        let (tx, rx) = bounded(1);
+        nt.tx
+            .send(NodeMsg::Query(Box::new(move |core| {
+                let _ = tx.send(query(core));
+            })))
+            .map_err(|_| MinosError::Shutdown)?;
+        rx.recv_timeout(Duration::from_secs(10))
+            .map_err(|_| MinosError::Shutdown)
+    }
+
+    /// Nodes currently marked failed.
+    fn failed_nodes(&self) -> Vec<NodeId> {
+        let failed = self.failed.lock();
+        (0..failed.len() as u16)
+            .map(NodeId)
+            .filter(|n| failed[n.0 as usize])
+            .collect()
+    }
+
+    /// Restarts `node` from `entries` (the rebuilt engine excludes every
+    /// other node still failed), waits until it serves, then re-admits
+    /// it at every other node.
+    fn revive(&self, node: NodeId, entries: Vec<LogEntry>) -> Result<()> {
+        let (done_tx, done_rx) = bounded(1);
+        self.nodes[node.0 as usize]
+            .tx
+            .send(NodeMsg::Revive {
+                entries,
+                still_down: self.failed_nodes(),
+                done: done_tx,
+            })
+            .map_err(|_| MinosError::Shutdown)?;
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .map_err(|_| MinosError::Shutdown)?;
+        for (i, nt) in self.nodes.iter().enumerate() {
+            if i != node.0 as usize {
+                let _ = nt.tx.send(NodeMsg::PeerStatus { node, up: true });
+            }
+        }
+        self.failed.lock()[node.0 as usize] = false;
         Ok(())
     }
 
@@ -545,14 +559,7 @@ impl Cluster {
 
         // The rejoiner summarizes its durable state. This is served even
         // while the node is "crashed": NVM contents survive the crash.
-        let (tx, rx) = bounded(1);
-        self.nodes[node.0 as usize]
-            .tx
-            .send(NodeMsg::QuerySummary { reply: tx })
-            .map_err(|_| MinosError::Shutdown)?;
-        let have = rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
+        let have = self.ask(node, |core| core.durable().summary())?;
 
         let Some(donor) = self.pick_donor(node) else {
             let _ = self.view.lock().abort_rejoin(node);
@@ -560,14 +567,7 @@ impl Cluster {
                 "no alive donor for rejoining node {node}"
             )));
         };
-        let (tx, rx) = bounded(1);
-        self.nodes[donor.0 as usize]
-            .tx
-            .send(NodeMsg::ShipDelta { have, reply: tx })
-            .map_err(|_| MinosError::Shutdown)?;
-        let entries = rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
+        let entries = self.ask(donor, move |core| core.durable().delta_against(&have))?;
 
         Ok(RejoinTicket {
             node,
@@ -582,7 +582,7 @@ impl Cluster {
     /// and moves the view `CatchingUp → Serving` under a fresh lease.
     /// Returns the new view epoch.
     ///
-    /// The `PeerRecovered` broadcast is sent before this method returns,
+    /// The re-admission broadcast is sent before this method returns,
     /// and each node inbox is FIFO — so any client op submitted after
     /// `complete_rejoin` returns is processed after every peer has
     /// re-admitted the node.
@@ -607,26 +607,10 @@ impl Cluster {
             }
         }
 
-        // Install the missed versions and restart the protocol engine.
-        let (done_tx, done_rx) = bounded(1);
-        self.nodes[node.0 as usize]
-            .tx
-            .send(NodeMsg::Revive {
-                entries,
-                done: done_tx,
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?;
-
-        // Re-admit everywhere, then open the gate for client traffic.
-        for (i, nt) in self.nodes.iter().enumerate() {
-            if i != node.0 as usize {
-                let _ = nt.tx.send(NodeMsg::PeerRecovered { node });
-            }
-        }
-        self.failed.lock()[node.0 as usize] = false;
+        // Install the missed versions, restart the protocol engine and
+        // re-admit the node everywhere, then open the gate for client
+        // traffic.
+        self.revive(node, entries)?;
         self.view
             .lock()
             .complete_rejoin(node, self.now_ns())
@@ -663,31 +647,13 @@ impl Cluster {
         let mut new_map = self.router.lock().map().cloned().ok_or_else(|| {
             MinosError::Membership("re-replication needs a sharded cluster".into())
         })?;
-        let excluded: Vec<NodeId> = {
-            let failed = self.failed.lock();
-            failed
-                .iter()
-                .enumerate()
-                .filter(|&(_, &down)| down)
-                .map(|(i, _)| NodeId(i as u16))
-                .collect()
-        };
         let donor = new_map
-            .donor_for(shard, &excluded)
+            .donor_for(shard, &self.failed_nodes())
             .ok_or_else(|| MinosError::Membership(format!("shard {shard} has no alive donor")))?;
 
         // Background copy: the donor's durable records for this shard.
-        let (tx, rx) = bounded(1);
-        self.nodes[donor.0 as usize]
-            .tx
-            .send(NodeMsg::ShipLog {
-                since: 0,
-                reply: tx,
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        let entries: Vec<LogEntry> = rx
-            .recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)?
+        let entries: Vec<LogEntry> = self
+            .ask(donor, |core| core.durable().entries_since(0))?
             .into_iter()
             .filter(|e| new_map.shard_of(e.key) == shard)
             .collect();
@@ -735,19 +701,7 @@ impl Cluster {
     /// [`MinosError::UnknownNode`] for an out-of-range node;
     /// [`MinosError::Shutdown`] if the node thread is gone.
     pub fn durable_log(&self, node: NodeId) -> Result<Vec<LogEntry>> {
-        let nt = self
-            .nodes
-            .get(node.0 as usize)
-            .ok_or(MinosError::UnknownNode(node))?;
-        let (tx, rx) = bounded(1);
-        nt.tx
-            .send(NodeMsg::ShipLog {
-                since: 0,
-                reply: tx,
-            })
-            .map_err(|_| MinosError::Shutdown)?;
-        rx.recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)
+        self.ask(node, |core| core.durable().entries_since(0))
     }
 
     /// The configuration this cluster runs with.
@@ -768,16 +722,7 @@ impl Cluster {
     /// [`MinosError::UnknownNode`] for an out-of-range node;
     /// [`MinosError::Shutdown`] if the node is unresponsive (e.g. crashed).
     pub fn dispatch_stats(&self, node: NodeId) -> Result<(DispatchStats, TransportCounters)> {
-        let nt = self
-            .nodes
-            .get(node.0 as usize)
-            .ok_or(MinosError::UnknownNode(node))?;
-        let (tx, rx) = bounded(1);
-        nt.tx
-            .send(NodeMsg::QueryStats { reply: tx })
-            .map_err(|_| MinosError::Shutdown)?;
-        rx.recv_timeout(Duration::from_secs(10))
-            .map_err(|_| MinosError::Shutdown)
+        self.ask(node, NodeCore::stats)
     }
 
     /// Aggregated [`Cluster::dispatch_stats`] over all live nodes.

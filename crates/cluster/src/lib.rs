@@ -1,16 +1,16 @@
-//! The threaded MINOS-B runtime: the workspace's stand-in for the paper's
-//! real 5-node CloudLab machine (Table II).
+//! The live MINOS-B runtimes: the workspace's stand-in for the paper's
+//! real 5-node CloudLab machine (Table II), where each machine runs the
+//! protocol as one node program.
 //!
-//! One OS thread per node runs a [`minos_core::NodeEngine`] plus a
-//! [`minos_kv::DurableState`]; crossbeam channels plus a delay wheel play
-//! the role of eRPC over FDR InfiniBand (a message channel with
-//! microsecond-scale latency). Heartbeat timeouts detect failed nodes
-//! (§III-E); recovery ships the durable-log suffix from a designated
-//! donor and re-admits the node.
-//!
-//! This runtime demonstrates the protocols under *real* concurrency —
-//! preemption, cross-thread message races, genuinely parallel coordinators
-//! — complementing the deterministic simulator in `minos-net`.
+//! Both runtimes drive one node core (`core::NodeCore`: engine,
+//! dispatch stack, durable state, view changes, gauges) and differ only
+//! in how inputs arrive and effects leave the node. The threaded
+//! [`Cluster`] runs one OS thread per node, with crossbeam channels plus
+//! a delay wheel in the role of eRPC over FDR InfiniBand, heartbeat
+//! failure detection (§III-E), and log-shipping recovery — the protocols
+//! under *real* concurrency, complementing the deterministic simulator
+//! in `minos-net`. The [`tcp`] runtime runs nodes as threads or
+//! `minos-noded` processes over real sockets, with a framed client port.
 //!
 //! # Example
 //!
@@ -32,6 +32,7 @@
 #![deny(missing_docs)]
 
 mod cluster;
+mod core;
 mod node;
 pub mod tcp;
 mod timer;

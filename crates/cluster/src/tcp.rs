@@ -6,7 +6,9 @@
 //! node per process; [`TcpClient`] connects to any node and issues
 //! puts/gets/`[PERSIST]sc`. Protocol messages travel in the hand-rolled
 //! wire format of [`minos_types::wire`] (the approved dependency set has
-//! no serializer, so the codec is part of this workspace).
+//! no serializer, so the codec is part of this workspace). The protocol
+//! state and dispatch stack are the shared node core the threaded
+//! runtime runs too; this module adds the sockets around it.
 //!
 //! ## Frames
 //!
@@ -23,34 +25,39 @@
 //!   path), 5=rejoin catch-up `[u32 count]{[key][ts]}` (a per-key version
 //!   summary; the reply is the donor's missing-version delta), 6=peer
 //!   status `[u16 peer][u8 up]` (the membership admin surface — the
-//!   control plane's failure detector marks peers down/recovered here)
+//!   control plane's failure detector marks peers down/recovered here).
+//!   An op byte with [`CLIENT_CTX_FLAG`] set carries a 24-byte trace
+//!   context between the client-req field and the payload
 //! * **node → client**: `[u64 client-req][u8 status][payload]` — status
 //!   1=write-done `[ts]`, 2=read-done `[ts][value]`, 3=persist-done,
-//!   4=durable-log dump `[u32 count]` + entries, 5=catch-up delta (same
-//!   encoding as 4), 6=peer-status ack, 0=error
+//!   4=durable-log dump, 5=catch-up delta, 6=peer-status ack, 0=error.
+//!   Dumps and deltas are `[u32 count]` followed by the entries in the
+//!   NVM log codec ([`minos_nvm::encode_entries`]: length-framed and
+//!   checksummed); a client rejects a reply that does not decode
+//!   completely to exactly `count` entries
 
+use crate::cluster::Outcome;
+use crate::core::{NodeCore, NodeIo};
 use crate::timer::{Scheduler, TimerWheel};
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use minos_core::obs::{
-    self, GaugeKind, GaugeSet, HistogramSet, JsonlWriter, MetricsSink, TraceClock, Tracer,
+    self, shared_gauges, HistogramSet, JsonlWriter, MetricsSink, TraceClock, Tracer,
 };
-use minos_core::runtime::{
-    ActionSink, BatchPolicy, Batched, ChaosNet, ChaosState, Dispatcher, FrameTransport,
-};
-use minos_core::{DelayClass, Event, NodeEngine, ReqId};
-use minos_kv::DurableState;
+use minos_core::{Event, ReqId};
 use minos_nvm::{decode_entries, encode_entries, DecodeOutcome, LogEntry};
 use minos_types::wire::{
     decode_peer_frame_ctx, encode_peer_frame_ctx_into, TraceCtx, CLIENT_CTX_FLAG,
 };
 use minos_types::{
-    ChaosSpec, DdpModel, FaultSpec, Key, Message, NodeId, ScopeId, ShardMap, Ts, Value,
+    ChaosSpec, ClusterConfig, DdpModel, FaultSpec, Key, Message, NodeId, ScopeId, ShardMap, Ts,
+    Value,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -127,16 +134,21 @@ enum In {
         op: ClientOp,
         ctx: Option<TraceCtx>,
     },
-    PersistDone(Key, Ts, Option<TraceCtx>),
+    /// An event this node scheduled for itself (a persist completion or
+    /// a deferred dispatch hop).
     Local(Event, Option<TraceCtx>),
     Shutdown,
 }
 
-enum ClientOp {
+/// One client-port request. The value type is generic so a client can
+/// encode a put straight from a borrowed slice; the server parses into
+/// owned [`Value`]s.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ClientOp<V = Value> {
     Put {
         key: Key,
         scope: Option<ScopeId>,
-        value: Value,
+        value: V,
     },
     Get {
         key: Key,
@@ -166,13 +178,27 @@ enum ClientOp {
     },
 }
 
+impl<V> ClientOp<V> {
+    /// The op byte; a reply to this op carries the same status byte.
+    fn code(&self) -> u8 {
+        match self {
+            ClientOp::Put { .. } => 1,
+            ClientOp::Get { .. } => 2,
+            ClientOp::Persist { .. } => 3,
+            ClientOp::DumpDurable => 4,
+            ClientOp::Delta { .. } => 5,
+            ClientOp::PeerStatus { .. } => 6,
+        }
+    }
+}
+
 /// Handle to a running TCP node (its threads stop on [`TcpNode::shutdown`]
 /// or drop).
 pub struct TcpNode {
     tx: Sender<In>,
     engine_thread: Option<JoinHandle<()>>,
     accept_threads: Vec<JoinHandle<()>>,
-    stop: Arc<std::sync::atomic::AtomicBool>,
+    stop: Arc<AtomicBool>,
     peer_addr: SocketAddr,
     client_addr: SocketAddr,
     /// Write-halves of the established client connections, shared with
@@ -184,39 +210,99 @@ pub struct TcpNode {
     peer_conns: Arc<Mutex<Vec<TcpStream>>>,
 }
 
-/// Reads one length-prefixed frame.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+/// The largest frame a reader accepts.
+const MAX_FRAME: usize = 64 * 1024 * 1024;
+
+/// Reads one length-prefixed frame. The body buffer grows only as body
+/// bytes arrive, so a header announcing a huge frame costs nothing
+/// until the bytes are actually sent.
+fn read_frame(stream: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     stream.read_exact(&mut len)?;
     let n = u32::from_le_bytes(len) as usize;
-    if n > 64 * 1024 * 1024 {
+    if n > MAX_FRAME {
         return Err(std::io::Error::other("frame too large"));
     }
-    let mut body = vec![0u8; n];
-    stream.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(n.min(64 * 1024));
+    stream.take(n as u64).read_to_end(&mut body)?;
+    if body.len() != n {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(body)
 }
 
-/// Samples the node-level resource gauges: in-flight client ops, records
-/// holding locks, and the engine inbox depth. Called on the metrics tick
-/// (and once at shutdown) so the O(records) lock scan stays off the
-/// per-event path.
-fn sample_node_gauges(
-    gauges: &mut GaugeSet,
-    node: u32,
-    inflight: usize,
-    locked: usize,
-    inbox: usize,
+/// Spawns thread `name` handing every connection accepted on
+/// `listener` to `on_conn`. The loop exits (dropping the listener,
+/// freeing the port) when `stop` is raised and a wake-up connection
+/// arrives — so a shut-down node can be re-served on the same address,
+/// which is what a rejoin after a process "crash" looks like in-process.
+fn spawn_acceptor(
+    name: String,
+    listener: TcpListener,
+    stop: &Arc<AtomicBool>,
+    mut on_conn: impl FnMut(TcpStream) + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    let stop = Arc::clone(stop);
+    std::thread::Builder::new().name(name).spawn(move || {
+        for stream in listener.incoming() {
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            if let Ok(stream) = stream {
+                on_conn(stream);
+            }
+        }
+    })
+}
+
+/// Reads frames from `stream` on a thread of its own and sends each one
+/// `decode` accepts to the engine. Stops at a malformed frame, a closed
+/// socket or a stopped engine, then runs `done`.
+fn spawn_reader(
+    mut stream: TcpStream,
+    tx: Sender<In>,
+    decode: impl Fn(&[u8]) -> Option<In> + Send + 'static,
+    done: impl FnOnce() + Send + 'static,
 ) {
-    gauges.observe(GaugeKind::InflightTxs, node, inflight as u64);
-    gauges.observe(GaugeKind::LockTableSize, node, locked as u64);
-    gauges.observe(GaugeKind::HostSendQueue, node, inbox as u64);
+    std::thread::spawn(move || {
+        while let Some(input) = read_frame(&mut stream).ok().and_then(|f| decode(&f)) {
+            if tx.send(input).is_err() {
+                break;
+            }
+        }
+        done();
+    });
 }
 
 /// Writes one length-prefixed frame.
 fn write_frame(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
     stream.write_all(&(body.len() as u32).to_le_bytes())?;
     stream.write_all(body)
+}
+
+/// Opens the node's observability sinks: a JSONL trace and, when
+/// metrics are exported, the per-op latency histograms. Records are
+/// stamped from this process's monotonic epoch.
+fn open_sinks(
+    cfg: &TcpNodeConfig,
+) -> (Option<Tracer>, Option<Arc<std::sync::Mutex<HistogramSet>>>) {
+    let mut sinks: Vec<obs::SharedSink> = Vec::new();
+    if let Some(path) = cfg.trace_out.as_ref() {
+        match JsonlWriter::create(path) {
+            Ok(w) => sinks.push(obs::shared(w)),
+            Err(e) => {
+                eprintln!("minos-tcp: cannot open trace file {}: {e}", path.display());
+            }
+        }
+    }
+    let mut hists = None;
+    if cfg.metrics_out.is_some() {
+        let (sink, set) = MetricsSink::new(cfg.model.persistency);
+        sinks.push(obs::shared(sink));
+        hists = Some(set);
+    }
+    let tracer = (!sinks.is_empty()).then(|| Tracer::new(cfg.node, TraceClock::monotonic(), sinks));
+    (tracer, hists)
 }
 
 impl TcpNode {
@@ -232,450 +318,70 @@ impl TcpNode {
         let client_addr = client_listener.local_addr()?;
 
         let (tx, rx) = unbounded::<In>();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
         let mut accept_threads = Vec::with_capacity(2);
 
         // Peer acceptor: one reader thread per inbound peer connection.
-        // The loop exits (dropping the listener, freeing the port) when
-        // `stop` is raised and a wake-up connection arrives — so a
-        // shut-down node can be re-served on the same address, which is
-        // what a rejoin after a process "crash" looks like in-process.
         let peer_conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        {
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&peer_conns);
-            accept_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("minos-tcp-peer-accept-{}", cfg.node))
-                    .spawn(move || {
-                        for stream in peer_listener.incoming() {
-                            if stop.load(std::sync::atomic::Ordering::SeqCst) {
-                                break;
-                            }
-                            let Ok(mut stream) = stream else { continue };
-                            if let Ok(c) = stream.try_clone() {
-                                conns.lock().push(c);
-                            }
-                            let tx = tx.clone();
-                            std::thread::spawn(move || {
-                                while let Ok(frame) = read_frame(&mut stream) {
-                                    match decode_peer_frame_ctx(&frame) {
-                                        Ok((from, msgs, ctx)) => {
-                                            if tx.send(In::Peer(from, msgs, ctx)).is_err() {
-                                                break;
-                                            }
-                                        }
-                                        Err(_) => break,
-                                    }
-                                }
-                            });
-                        }
-                    })?,
-            );
-        }
+        let (conns, peer_tx) = (Arc::clone(&peer_conns), tx.clone());
+        let name = format!("minos-tcp-peer-accept-{}", cfg.node);
+        accept_threads.push(spawn_acceptor(name, peer_listener, &stop, move |stream| {
+            if let Ok(c) = stream.try_clone() {
+                conns.lock().push(c);
+            }
+            let decode = |frame: &[u8]| {
+                let (from, msgs, ctx) = decode_peer_frame_ctx(frame).ok()?;
+                Some(In::Peer(from, msgs, ctx))
+            };
+            spawn_reader(stream, peer_tx.clone(), decode, || {});
+        })?);
 
         // Client acceptor: per-connection reader + shared writer handle.
         let client_writers: Arc<Mutex<HashMap<u64, TcpStream>>> =
             Arc::new(Mutex::new(HashMap::new()));
-        {
-            let tx = tx.clone();
-            let writers = Arc::clone(&client_writers);
-            let stop = Arc::clone(&stop);
-            accept_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("minos-tcp-client-accept-{}", cfg.node))
-                    .spawn(move || {
-                        let mut next_conn = 1u64;
-                        for stream in client_listener.incoming() {
-                            if stop.load(std::sync::atomic::Ordering::SeqCst) {
-                                break;
-                            }
-                            let Ok(stream) = stream else { continue };
-                            let conn = next_conn;
-                            next_conn += 1;
-                            if let Ok(w) = stream.try_clone() {
-                                writers.lock().insert(conn, w);
-                            } else {
-                                continue;
-                            }
-                            let tx = tx.clone();
-                            let writers = Arc::clone(&writers);
-                            let mut stream = stream;
-                            std::thread::spawn(move || {
-                                while let Ok(frame) = read_frame(&mut stream) {
-                                    match parse_client_request(&frame) {
-                                        Some((creq, op, ctx)) => {
-                                            let input = In::Client {
-                                                conn,
-                                                creq,
-                                                op,
-                                                ctx,
-                                            };
-                                            if tx.send(input).is_err() {
-                                                break;
-                                            }
-                                        }
-                                        None => break,
-                                    }
-                                }
-                                writers.lock().remove(&conn);
-                            });
-                        }
-                    })?,
-            );
-        }
+        let (writers, client_tx) = (Arc::clone(&client_writers), tx.clone());
+        let mut next_conn = 0u64;
+        let name = format!("minos-tcp-client-accept-{}", cfg.node);
+        accept_threads.push(spawn_acceptor(
+            name,
+            client_listener,
+            &stop,
+            move |stream| {
+                let Ok(w) = stream.try_clone() else { return };
+                next_conn += 1;
+                let conn = next_conn;
+                writers.lock().insert(conn, w);
+                let decode = move |frame: &[u8]| {
+                    let (creq, op, ctx) = parse_client_request(frame)?;
+                    Some(In::Client {
+                        conn,
+                        creq,
+                        op,
+                        ctx,
+                    })
+                };
+                let writers = Arc::clone(&writers);
+                spawn_reader(stream, client_tx.clone(), decode, move || {
+                    writers.lock().remove(&conn);
+                });
+            },
+        )?);
 
         // Persist-completion timer (single destination: this engine).
         let wheel = TimerWheel::spawn(vec![tx.clone()]);
-        let scheduler = wheel.scheduler();
 
-        let writers_for_shutdown = Arc::clone(&client_writers);
-        let engine_tx = tx.clone();
+        let io = SocketIo {
+            node: cfg.node,
+            peer_addrs: cfg.peers.clone(),
+            peers: HashMap::new(),
+            frame_buf: Vec::new(),
+            scheduler: wheel.scheduler(),
+            engine_tx: tx.clone(),
+            writers: Arc::clone(&client_writers),
+        };
         let engine_thread = std::thread::Builder::new()
             .name(format!("minos-tcp-engine-{}", cfg.node))
-            .spawn(move || {
-                let mut engine = NodeEngine::new(cfg.node, cfg.peers.len(), cfg.model);
-                engine.set_placement(cfg.placement.clone());
-                #[cfg(feature = "fault-injection")]
-                if let Some(f) = cfg.fault {
-                    if f.node == cfg.node.0 {
-                        engine.arm_fault(f.kind);
-                    }
-                }
-                let mut chaos = cfg
-                    .chaos
-                    .as_ref()
-                    .map(|spec| ChaosState::new(spec, cfg.node));
-                let mut dispatcher = Dispatcher::new();
-
-                // Observability: JSONL trace + per-op latency histograms,
-                // stamped from this process's monotonic epoch.
-                let mut sinks: Vec<obs::SharedSink> = Vec::new();
-                if let Some(path) = cfg.trace_out.as_ref() {
-                    match JsonlWriter::create(path) {
-                        Ok(w) => sinks.push(obs::shared(w)),
-                        Err(e) => {
-                            eprintln!("minos-tcp: cannot open trace file {}: {e}", path.display());
-                        }
-                    }
-                }
-                let mut hists: Option<Arc<std::sync::Mutex<HistogramSet>>> = None;
-                if cfg.metrics_out.is_some() {
-                    let (sink, set) = MetricsSink::new(cfg.model.persistency);
-                    sinks.push(obs::shared(sink));
-                    hists = Some(set);
-                }
-                if !sinks.is_empty() {
-                    dispatcher.set_tracer(Some(Tracer::new(
-                        cfg.node,
-                        TraceClock::monotonic(),
-                        sinks,
-                    )));
-                }
-                let dump_metrics = |hists: &Option<Arc<std::sync::Mutex<HistogramSet>>>,
-                                    gauges: &GaugeSet| {
-                    if let (Some(path), Some(set)) = (cfg.metrics_out.as_ref(), hists.as_ref()) {
-                        let mut text = set.lock().expect("histogram lock").render_prometheus();
-                        text.push_str(&gauges.render_prometheus());
-                        let _ = std::fs::write(path, text);
-                    }
-                };
-
-                let policy = BatchPolicy {
-                    batching: cfg.batching,
-                    broadcast: cfg.broadcast,
-                };
-                let mut durable = DurableState::with_persist_latency(cfg.persist_ns_per_kb);
-
-                // ---- Startup rejoin ----
-                // Step 1, replay your own durable log: decode the on-disk
-                // NVM file (surviving state from before the crash). A torn
-                // final append is truncated away, per the codec contract.
-                let mut log_file: Option<std::fs::File> = None;
-                if let Some(path) = cfg.nvm_log.as_ref() {
-                    if let Ok(bytes) = std::fs::read(path) {
-                        let (entries, outcome) = decode_entries(&bytes);
-                        if let DecodeOutcome::Truncated { valid_bytes } = outcome {
-                            eprintln!(
-                                "minos-tcp: NVM log {} has a torn tail; truncating to {valid_bytes} bytes",
-                                path.display()
-                            );
-                            if let Ok(f) =
-                                std::fs::OpenOptions::new().write(true).open(path)
-                            {
-                                let _ = f.set_len(valid_bytes as u64);
-                            }
-                        }
-                        durable.replay(&entries);
-                    }
-                    match std::fs::OpenOptions::new().create(true).append(true).open(path) {
-                        Ok(f) => log_file = Some(f),
-                        Err(e) => eprintln!(
-                            "minos-tcp: cannot open NVM log {}: {e}",
-                            path.display()
-                        ),
-                    }
-                }
-                // Step 2, donor catch-up: ship the per-key version summary
-                // to the donor and install exactly the versions this node
-                // missed while down — appended to the on-disk log so they
-                // survive a second crash.
-                if let Some(donor) = cfg.rejoin_donor {
-                    match TcpClient::connect(donor)
-                        .and_then(|mut c| c.fetch_delta(&durable.summary()))
-                    {
-                        Ok(delta) => {
-                            durable.replay(&delta);
-                            if let Some(f) = log_file.as_mut() {
-                                let _ = f.write_all(&encode_entries(&delta));
-                            }
-                        }
-                        Err(e) => eprintln!(
-                            "minos-tcp: rejoin catch-up from {donor} failed: {e}"
-                        ),
-                    }
-                }
-                // Raise the fresh engine's volatile state to the recovered
-                // durable state before the first client op is admitted.
-                let recovered: Vec<(Key, Ts, Value)> = durable
-                    .iter_durable()
-                    .map(|(k, (ts, v))| (*k, *ts, v.clone()))
-                    .collect();
-                for (k, ts, v) in recovered {
-                    engine.install_recovered(k, ts, v);
-                }
-
-                let mut peers: HashMap<NodeId, TcpStream> = HashMap::new();
-                // Client request bookkeeping: engine ReqId → (conn, creq).
-                let mut pending: HashMap<ReqId, (u64, u64)> = HashMap::new();
-                // Peer-frame encode scratch, reused across dispatches.
-                let mut frame_buf: Vec<u8> = Vec::new();
-                let mut next_req = 1u64;
-                let dump_every = cfg.metrics_interval.max(Duration::from_millis(1));
-                let mut next_dump = Instant::now() + dump_every;
-                let mut gauges = GaugeSet::new();
-                let node_idx = u32::from(cfg.node.0);
-
-                loop {
-                    let input = match rx.recv_timeout(dump_every.min(Duration::from_millis(200))) {
-                        Ok(input) => input,
-                        Err(RecvTimeoutError::Timeout) => {
-                            if Instant::now() >= next_dump {
-                                sample_node_gauges(
-                                    &mut gauges,
-                                    node_idx,
-                                    pending.len(),
-                                    engine.locked_records(),
-                                    rx.len(),
-                                );
-                                dump_metrics(&hists, &gauges);
-                                next_dump = Instant::now() + dump_every;
-                            }
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    };
-                    let mut events: Vec<(Event, Option<TraceCtx>)> = Vec::new();
-                    match input {
-                        In::Shutdown => break,
-                        In::Peer(from, msgs, ctx) => {
-                            // One inbound frame may carry a whole batch.
-                            events.extend(
-                                msgs.into_iter()
-                                    .map(|msg| (Event::Message { from, msg }, ctx)),
-                            );
-                        }
-                        In::PersistDone(key, ts, ctx) => {
-                            events.push((Event::PersistDone { key, ts }, ctx));
-                        }
-                        In::Local(ev, ctx) => events.push((ev, ctx)),
-                        In::Client {
-                            conn,
-                            creq,
-                            op: ClientOp::DumpDurable,
-                            ..
-                        } => {
-                            let mut body = creq.to_le_bytes().to_vec();
-                            body.push(4);
-                            encode_log_dump(&durable.entries_since(0), &mut body);
-                            let mut writers = client_writers.lock();
-                            if let Some(s) = writers.get_mut(&conn) {
-                                if write_frame(s, &body).is_err() {
-                                    writers.remove(&conn);
-                                }
-                            }
-                        }
-                        In::Client {
-                            conn,
-                            creq,
-                            op: ClientOp::Delta { have },
-                            ..
-                        } => {
-                            // Donor side of a rejoin: ship the versions the
-                            // caller's summary is missing.
-                            let mut body = creq.to_le_bytes().to_vec();
-                            body.push(5);
-                            encode_log_dump(&durable.delta_against(&have), &mut body);
-                            let mut writers = client_writers.lock();
-                            if let Some(s) = writers.get_mut(&conn) {
-                                if write_frame(s, &body).is_err() {
-                                    writers.remove(&conn);
-                                }
-                            }
-                        }
-                        In::Client {
-                            conn,
-                            creq,
-                            op: ClientOp::PeerStatus { peer, up },
-                            ..
-                        } => {
-                            // The control plane's view change: shrink or
-                            // regrow the replication quorum, then drain any
-                            // transactions the exclusion unblocked.
-                            if peer != cfg.node {
-                                // Drop the cached connection either way: a
-                                // down peer's socket is dead, and a rejoined
-                                // peer listens on a *new* socket — a write
-                                // into the half-closed old one would succeed
-                                // at the TCP level and silently swallow the
-                                // frame.
-                                peers.remove(&peer);
-                                if up {
-                                    engine.mark_recovered(peer);
-                                } else {
-                                    engine.mark_failed(peer);
-                                }
-                                let mut out = Vec::new();
-                                engine.poll_now(&mut out);
-                                let mut handler = Batched::new(
-                                    TcpHandler {
-                                        node: cfg.node,
-                                        ctx: None,
-                                        peer_addrs: &cfg.peers,
-                                        peers: &mut peers,
-                                        durable: &mut durable,
-                                        log_file: &mut log_file,
-                                        scheduler: &scheduler,
-                                        engine_tx: &engine_tx,
-                                        writers: &client_writers,
-                                        pending: &mut pending,
-                                        frame_buf: &mut frame_buf,
-                                    },
-                                    policy,
-                                );
-                                if let Some(chaos) = chaos.as_mut() {
-                                    let mut net = ChaosNet::new(&mut handler, chaos);
-                                    dispatcher.run_actions(&engine, out, &mut net);
-                                } else {
-                                    dispatcher.run_actions(&engine, out, &mut handler);
-                                }
-                                let _ = handler.into_parts();
-                            }
-                            let mut body = creq.to_le_bytes().to_vec();
-                            body.push(6);
-                            let mut writers = client_writers.lock();
-                            if let Some(s) = writers.get_mut(&conn) {
-                                if write_frame(s, &body).is_err() {
-                                    writers.remove(&conn);
-                                }
-                            }
-                        }
-                        In::Client {
-                            conn,
-                            creq,
-                            op,
-                            ctx,
-                        } => {
-                            let req = ReqId(next_req);
-                            next_req += 1;
-                            pending.insert(req, (conn, creq));
-                            let ev = match op {
-                                ClientOp::Put { key, scope, value } => Event::ClientWrite {
-                                    key,
-                                    value,
-                                    scope,
-                                    req,
-                                },
-                                ClientOp::Get { key } => Event::ClientRead { key, req },
-                                ClientOp::Persist { scope } => {
-                                    Event::ClientPersistScope { scope, req }
-                                }
-                                ClientOp::DumpDurable
-                                | ClientOp::Delta { .. }
-                                | ClientOp::PeerStatus { .. } => {
-                                    unreachable!("handled above")
-                                }
-                            };
-                            events.push((ev, ctx));
-                        }
-                    }
-                    for (ev, ctx) in events {
-                        let mut handler = Batched::new(
-                            TcpHandler {
-                                node: cfg.node,
-                                ctx: None,
-                                peer_addrs: &cfg.peers,
-                                peers: &mut peers,
-                                durable: &mut durable,
-                                log_file: &mut log_file,
-                                scheduler: &scheduler,
-                                engine_tx: &engine_tx,
-                                writers: &client_writers,
-                                pending: &mut pending,
-                                frame_buf: &mut frame_buf,
-                            },
-                            policy,
-                        );
-                        if let Some(chaos) = chaos.as_mut() {
-                            // Chaos above batching: injection indices count
-                            // protocol messages, not frames.
-                            let mut net = ChaosNet::new(&mut handler, chaos);
-                            dispatcher.dispatch_ctx(&mut engine, ev, ctx, &mut net);
-                        } else {
-                            dispatcher.dispatch_ctx(&mut engine, ev, ctx, &mut handler);
-                        }
-                        let (_, c) = handler.into_parts();
-                        if cfg.batching && c.deposits > 0 {
-                            gauges.observe(
-                                GaugeKind::BatchFill,
-                                node_idx,
-                                c.protocol_msgs / c.deposits,
-                            );
-                        }
-                    }
-                    // Keep trace shards on disk current: a killed (not
-                    // shut down) process must still leave an assemblable
-                    // shard behind, so the JSONL sink may not sit on a
-                    // buffered tail across input batches.
-                    if let Some(tr) = dispatcher.tracer_mut() {
-                        tr.flush_sinks();
-                    }
-                    if Instant::now() >= next_dump {
-                        sample_node_gauges(
-                            &mut gauges,
-                            node_idx,
-                            pending.len(),
-                            engine.locked_records(),
-                            rx.len(),
-                        );
-                        dump_metrics(&hists, &gauges);
-                        next_dump = Instant::now() + dump_every;
-                    }
-                }
-                // Final dump + flush so short-lived runs still export.
-                sample_node_gauges(
-                    &mut gauges,
-                    node_idx,
-                    pending.len(),
-                    engine.locked_records(),
-                    rx.len(),
-                );
-                dump_metrics(&hists, &gauges);
-                if let Some(tr) = dispatcher.tracer_mut() {
-                    tr.flush_sinks();
-                }
-            })?;
+            .spawn(move || run_engine(&cfg, &rx, io))?;
 
         Ok(TcpNode {
             tx,
@@ -684,7 +390,7 @@ impl TcpNode {
             stop,
             peer_addr,
             client_addr,
-            client_writers: writers_for_shutdown,
+            client_writers,
             peer_conns,
         })
     }
@@ -714,7 +420,7 @@ impl TcpNode {
     /// node's signature.
     pub fn shutdown(mut self) {
         let _ = self.tx.send(In::Shutdown);
-        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        self.stop.store(true, Ordering::SeqCst);
         // Wake both acceptors so they observe the stop flag and drop
         // their listeners.
         let _ = TcpStream::connect(self.peer_addr);
@@ -745,30 +451,153 @@ impl TcpNode {
     }
 }
 
-/// The socket-backed dispatch handler: peer frames are encoded with the
-/// shared wire codec and written straight to peer sockets; persists ride
-/// the local delay wheel; completions are written back to the client
-/// connection.
-struct TcpHandler<'a> {
-    node: NodeId,
-    /// The dispatching node's trace context, carried on every peer frame
-    /// and locally rescheduled event this dispatch emits.
-    ctx: Option<TraceCtx>,
-    peer_addrs: &'a [SocketAddr],
-    peers: &'a mut HashMap<NodeId, TcpStream>,
-    durable: &'a mut DurableState,
-    /// Open on-disk NVM log (None = memory-only durability emulation).
-    log_file: &'a mut Option<std::fs::File>,
-    scheduler: &'a Scheduler<In>,
-    engine_tx: &'a Sender<In>,
-    writers: &'a Arc<Mutex<HashMap<u64, TcpStream>>>,
-    pending: &'a mut HashMap<ReqId, (u64, u64)>,
-    /// Peer-frame encode scratch (lives in the node loop so the
-    /// allocation survives across per-dispatch handlers).
-    frame_buf: &'a mut Vec<u8>,
+/// The engine thread: boots the node core (startup rejoin included),
+/// then feeds it decoded inputs until shutdown, exporting metrics on the
+/// configured tick.
+fn run_engine(cfg: &TcpNodeConfig, rx: &Receiver<In>, mut io: SocketIo) {
+    let (tracer, hists) = open_sinks(cfg);
+    let gauges = shared_gauges();
+    // The node-local knobs; wire latency and heartbeat timeouts are the
+    // threaded runtime's and stay unused.
+    let node_cfg = ClusterConfig {
+        nodes: cfg.peers.len(),
+        nvm_persist_ns_per_kb: cfg.persist_ns_per_kb,
+        batching: cfg.batching,
+        broadcast: cfg.broadcast,
+        chaos: cfg.chaos.clone(),
+        fault: cfg.fault,
+        placement: cfg.placement.clone(),
+        ..ClusterConfig::cloudlab()
+    };
+    // Startup rejoin, step 1: replay this node's own on-disk NVM log
+    // (surviving state from before the crash).
+    let nvm_log = cfg.nvm_log.as_deref();
+    let mut core = NodeCore::boot(
+        cfg.node,
+        cfg.model,
+        node_cfg,
+        nvm_log,
+        tracer,
+        gauges.clone(),
+    );
+    // Step 2, donor catch-up: ship the per-key version summary to the
+    // donor and fetch exactly the versions this node missed while down.
+    // The reboot appends them to the on-disk log (so they survive a
+    // second crash) and raises the fresh engine to the recovered durable
+    // state before the first client op is admitted.
+    let delta = cfg.rejoin_donor.map_or_else(Vec::new, |donor| {
+        TcpClient::connect(donor)
+            .and_then(|mut c| c.fetch_delta(&core.durable().summary()))
+            .unwrap_or_else(|e| {
+                eprintln!("minos-tcp: rejoin catch-up from {donor} failed: {e}");
+                Vec::new()
+            })
+    });
+    core.reboot(&delta, &[]);
+
+    let dump_metrics = || {
+        if let (Some(path), Some(set)) = (cfg.metrics_out.as_ref(), hists.as_ref()) {
+            let mut text = set.lock().expect("histogram lock").render_prometheus();
+            text.push_str(&gauges.lock().expect("gauge lock").render_prometheus());
+            let _ = std::fs::write(path, text);
+        }
+    };
+    let mut next_req = 1u64;
+    let dump_every = cfg.metrics_interval.max(Duration::from_millis(1));
+    let mut next_dump = Instant::now() + dump_every;
+    loop {
+        // Before each wait, keep trace shards on disk current: a killed
+        // (not shut down) process must still leave an assemblable shard
+        // behind, so the JSONL sink may not sit on a buffered tail across
+        // input batches.
+        core.flush_trace();
+        if Instant::now() >= next_dump {
+            core.sample_gauges(rx.len());
+            dump_metrics();
+            next_dump = Instant::now() + dump_every;
+        }
+        match rx.recv_timeout(dump_every.min(Duration::from_millis(200))) {
+            Ok(In::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(In::Peer(from, msgs, ctx)) => {
+                // One inbound frame may carry a whole batch.
+                for msg in msgs {
+                    core.dispatch(Event::Message { from, msg }, ctx, &mut io);
+                }
+            }
+            Ok(In::Local(ev, ctx)) => core.dispatch(ev, ctx, &mut io),
+            Ok(In::Client {
+                conn,
+                creq,
+                op,
+                ctx,
+            }) => {
+                let req = ReqId(next_req);
+                let ev = match op {
+                    ClientOp::Put { key, scope, value } => Event::ClientWrite {
+                        key,
+                        value,
+                        scope,
+                        req,
+                    },
+                    ClientOp::Get { key } => Event::ClientRead { key, req },
+                    ClientOp::Persist { scope } => Event::ClientPersistScope { scope, req },
+                    // Admin ops, served off the protocol path.
+                    ClientOp::DumpDurable => {
+                        let entries = core.durable().entries_since(0);
+                        io.respond(conn, creq, 4, |b| encode_log_reply(&entries, b));
+                        continue;
+                    }
+                    ClientOp::Delta { have } => {
+                        // Donor side of a rejoin: ship the versions the
+                        // caller's summary is missing.
+                        let entries = core.durable().delta_against(&have);
+                        io.respond(conn, creq, 5, |b| encode_log_reply(&entries, b));
+                        continue;
+                    }
+                    ClientOp::PeerStatus { peer, up } => {
+                        // Drop the cached connection either way: a down
+                        // peer's socket is dead, and a rejoined peer
+                        // listens on a *new* socket — a write into the
+                        // half-closed old one would succeed at the TCP
+                        // level and silently swallow the frame.
+                        if peer != cfg.node {
+                            io.peers.remove(&peer);
+                        }
+                        core.view_change(peer, up, &mut io);
+                        io.respond(conn, creq, 6, |_| {});
+                        continue;
+                    }
+                };
+                next_req += 1;
+                core.admit(&ev, (conn, creq));
+                core.dispatch(ev, ctx, &mut io);
+            }
+        }
+    }
+    // Final dump + flush so short-lived runs still export.
+    core.sample_gauges(rx.len());
+    dump_metrics();
+    core.flush_trace();
 }
 
-impl TcpHandler<'_> {
+/// The TCP runtime's [`NodeIo`]: peer frames are encoded with the shared
+/// wire codec and written straight to peer sockets; persist completions
+/// ride the local delay wheel; completions are written back to the
+/// client connection.
+struct SocketIo {
+    node: NodeId,
+    peer_addrs: Vec<SocketAddr>,
+    /// Cached outbound peer connections, opened on first use.
+    peers: HashMap<NodeId, TcpStream>,
+    /// Peer-frame encode scratch, reused across dispatches.
+    frame_buf: Vec<u8>,
+    scheduler: Scheduler<In>,
+    engine_tx: Sender<In>,
+    writers: Arc<Mutex<HashMap<u64, TcpStream>>>,
+}
+
+impl SocketIo {
     /// Writes one already-encoded frame to `to`, reconnecting once on a
     /// stale connection. An unreachable peer loses the frame, which is
     /// exactly what a crashed node looks like.
@@ -790,240 +619,227 @@ impl TcpHandler<'_> {
             }
         }
     }
+
+    /// Writes `[creq][status]` plus `fill`'s payload to client
+    /// connection `conn`, forgetting the connection if the write fails.
+    fn respond(&self, conn: u64, creq: u64, status: u8, fill: impl FnOnce(&mut Vec<u8>)) {
+        let mut body = creq.to_le_bytes().to_vec();
+        body.push(status);
+        fill(&mut body);
+        let mut writers = self.writers.lock();
+        if let Some(s) = writers.get_mut(&conn) {
+            if write_frame(s, &body).is_err() {
+                writers.remove(&conn);
+            }
+        }
+    }
 }
 
-impl FrameTransport for TcpHandler<'_> {
-    fn deposit(&mut self, to: NodeId, msgs: Vec<Message>) {
-        let mut body = std::mem::take(self.frame_buf);
-        encode_peer_frame_ctx_into(self.node, &msgs, self.ctx, &mut body);
+impl NodeIo for SocketIo {
+    /// The client connection and the client's own request id.
+    type Reply = (u64, u64);
+
+    fn deposit(&mut self, to: NodeId, msgs: Vec<Message>, ctx: Option<TraceCtx>) {
+        let mut body = std::mem::take(&mut self.frame_buf);
+        encode_peer_frame_ctx_into(self.node, &msgs, ctx, &mut body);
         self.write_to(to, &body);
-        *self.frame_buf = body;
+        self.frame_buf = body;
     }
 
-    fn deposit_all(&mut self, dests: &[NodeId], msgs: Vec<Message>) {
+    fn deposit_all(&mut self, dests: &[NodeId], msgs: Vec<Message>, ctx: Option<TraceCtx>) {
         // Broadcast: encode once (into the reused scratch), write the
         // same bytes to every socket.
-        let mut body = std::mem::take(self.frame_buf);
-        encode_peer_frame_ctx_into(self.node, &msgs, self.ctx, &mut body);
+        let mut body = std::mem::take(&mut self.frame_buf);
+        encode_peer_frame_ctx_into(self.node, &msgs, ctx, &mut body);
         for &to in dests {
             self.write_to(to, &body);
         }
-        *self.frame_buf = body;
+        self.frame_buf = body;
     }
 
-    fn set_ctx(&mut self, ctx: Option<TraceCtx>) {
-        self.ctx = ctx;
-    }
-}
-
-impl ActionSink for TcpHandler<'_> {
-    fn persist(&mut self, key: Key, ts: Ts, value: Value, _background: bool) {
-        let ns = self.durable.device().persist_ns(value.len() as u64);
-        let lsn = self.durable.persist(key, ts, value.clone());
-        // Mirror the persist to the on-disk log so it survives a real
-        // process restart (the rejoin path replays this file).
-        if let Some(f) = self.log_file.as_mut() {
-            let _ = f.write_all(&encode_entries(&[LogEntry {
-                lsn,
-                key,
-                ts,
-                value,
-            }]));
+    fn local(&mut self, delay_ns: u64, event: Event, ctx: Option<TraceCtx>) {
+        if delay_ns == 0 {
+            let _ = self.engine_tx.send(In::Local(event, ctx));
+        } else {
+            self.scheduler
+                .send_after(delay_ns, NodeId(0), In::Local(event, ctx));
         }
-        self.scheduler
-            .send_after(ns, NodeId(0), In::PersistDone(key, ts, self.ctx));
     }
 
-    fn redirect(&mut self, _to: NodeId, _event: Event) {
+    fn redirect(&mut self, _to: NodeId, _event: Event, _ctx: Option<TraceCtx>) {
         // Client-op routing happens at the client ([`ShardedTcpClient`]),
         // so a correctly routed deployment never redirects. An op that
         // reaches a non-replica anyway is dropped — indistinguishable
         // from a lost frame, and the client times out.
     }
 
-    fn defer(&mut self, event: Event, _class: DelayClass) {
-        let _ = self.engine_tx.send(In::Local(event, self.ctx));
-    }
-
-    fn write_done(&mut self, req: ReqId, _key: Key, ts: Ts, _obsolete: bool) {
-        respond(self.writers, self.pending, req, |b| {
-            b.push(1);
-            b.extend_from_slice(&ts.version.to_le_bytes());
-            b.extend_from_slice(&ts.node.0.to_le_bytes());
-        });
-    }
-
-    fn read_done(&mut self, req: ReqId, _key: Key, value: Value, ts: Ts) {
-        respond(self.writers, self.pending, req, |b| {
-            b.push(2);
-            b.extend_from_slice(&ts.version.to_le_bytes());
-            b.extend_from_slice(&ts.node.0.to_le_bytes());
-            b.extend_from_slice(&value);
-        });
-    }
-
-    fn persist_scope_done(&mut self, req: ReqId, _scope: ScopeId) {
-        respond(self.writers, self.pending, req, |b| b.push(3));
-    }
-}
-
-fn respond(
-    writers: &Arc<Mutex<HashMap<u64, TcpStream>>>,
-    pending: &mut HashMap<ReqId, (u64, u64)>,
-    req: ReqId,
-    fill: impl FnOnce(&mut Vec<u8>),
-) {
-    let Some((conn, creq)) = pending.remove(&req) else {
-        return;
-    };
-    let mut body = creq.to_le_bytes().to_vec();
-    fill(&mut body);
-    let mut writers = writers.lock();
-    if let Some(s) = writers.get_mut(&conn) {
-        if write_frame(s, &body).is_err() {
-            writers.remove(&conn);
+    fn complete(&mut self, _req: ReqId, (conn, creq): (u64, u64), outcome: Outcome) {
+        match outcome {
+            Outcome::Write { ts, .. } => self.respond(conn, creq, 1, |b| put_ts(b, ts)),
+            Outcome::Read { value, ts } => self.respond(conn, creq, 2, |b| {
+                put_ts(b, ts);
+                b.extend_from_slice(&value);
+            }),
+            Outcome::PersistScope { .. } => self.respond(conn, creq, 3, |_| {}),
         }
     }
 }
 
-fn parse_client_request(frame: &[u8]) -> Option<(u64, ClientOp, Option<TraceCtx>)> {
-    if frame.len() < 9 {
-        return None;
+/// Appends `ts` as `[u32 version][u16 node]`.
+fn put_ts(b: &mut Vec<u8>, ts: Ts) {
+    b.extend_from_slice(&ts.version.to_le_bytes());
+    b.extend_from_slice(&ts.node.0.to_le_bytes());
+}
+
+/// A little-endian reader over untrusted bytes: every read is
+/// bounds-checked and yields `None` past the end.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*head)
     }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.take::<1>().map(|[b]| b)
+    }
+
+    fn u16(&mut self) -> Option<u16> {
+        self.take().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    /// A timestamp written by [`put_ts`].
+    fn ts(&mut self) -> Option<Ts> {
+        Some(Ts {
+            version: self.u32()?,
+            node: NodeId(self.u16()?),
+        })
+    }
+}
+
+/// Encodes one client request into `out` (cleared first): the op byte
+/// (with [`CLIENT_CTX_FLAG`] set when `ctx` is given), the client-req
+/// id, the trace context if any, then the op's payload. The inverse of
+/// [`parse_client_request`].
+fn encode_client_request<V: AsRef<[u8]>>(
+    creq: u64,
+    op: &ClientOp<V>,
+    ctx: Option<TraceCtx>,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    let flag = if ctx.is_some() { CLIENT_CTX_FLAG } else { 0 };
+    out.push(op.code() | flag);
+    out.extend_from_slice(&creq.to_le_bytes());
+    if let Some(ctx) = ctx {
+        out.extend_from_slice(&ctx.encode());
+    }
+    match op {
+        ClientOp::Put { key, scope, value } => {
+            out.extend_from_slice(&key.0.to_le_bytes());
+            match scope {
+                Some(sc) => {
+                    out.push(1);
+                    out.extend_from_slice(&sc.0.to_le_bytes());
+                }
+                None => out.push(0),
+            }
+            out.extend_from_slice(value.as_ref());
+        }
+        ClientOp::Get { key } => out.extend_from_slice(&key.0.to_le_bytes()),
+        ClientOp::Persist { scope } => out.extend_from_slice(&scope.0.to_le_bytes()),
+        ClientOp::DumpDurable => {}
+        ClientOp::Delta { have } => {
+            out.extend_from_slice(&u32::try_from(have.len()).unwrap_or(u32::MAX).to_le_bytes());
+            for (key, ts) in have {
+                out.extend_from_slice(&key.0.to_le_bytes());
+                put_ts(out, *ts);
+            }
+        }
+        ClientOp::PeerStatus { peer, up } => {
+            out.extend_from_slice(&peer.0.to_le_bytes());
+            out.push(u8::from(*up));
+        }
+    }
+}
+
+/// Parses one client request frame into `(client-req, op, context)`;
+/// `None` for anything malformed, including trailing bytes.
+fn parse_client_request(frame: &[u8]) -> Option<(u64, ClientOp, Option<TraceCtx>)> {
+    let mut r = Cursor(frame);
+    let op = r.u8()?;
+    let creq = r.u64()?;
     // A set CLIENT_CTX_FLAG bit means a trace context follows the
     // client-req field; the low bits are the op code either way.
-    let op = frame[0] & !CLIENT_CTX_FLAG;
-    let creq = u64::from_le_bytes(frame[1..9].try_into().ok()?);
-    let (ctx, rest) = if frame[0] & CLIENT_CTX_FLAG != 0 {
-        let c = TraceCtx::decode(frame.get(9..)?).ok()?;
-        (
-            Some(c).filter(|c| !c.is_empty()),
-            &frame[9 + TraceCtx::WIRE_LEN..],
-        )
+    let ctx = if op & CLIENT_CTX_FLAG != 0 {
+        let c = TraceCtx::decode(&r.take::<{ TraceCtx::WIRE_LEN }>()?).ok()?;
+        Some(c).filter(|c| !c.is_empty())
     } else {
-        (None, &frame[9..])
+        None
     };
-    let parsed = match op {
+    let parsed = match op & !CLIENT_CTX_FLAG {
         1 => {
             // [key u64][scope flag u8 (+u32)][value...]
-            if rest.len() < 9 {
-                return None;
-            }
-            let key = Key(u64::from_le_bytes(rest[..8].try_into().ok()?));
-            let (scope, off) = if rest[8] == 1 {
-                if rest.len() < 13 {
-                    return None;
-                }
-                (
-                    Some(ScopeId(u32::from_le_bytes(rest[9..13].try_into().ok()?))),
-                    13,
-                )
-            } else {
-                (None, 9)
+            let key = Key(r.u64()?);
+            let scope = match r.u8()? {
+                1 => Some(ScopeId(r.u32()?)),
+                _ => None,
             };
-            ClientOp::Put {
-                key,
-                scope,
-                value: Value::copy_from_slice(&rest[off..]),
-            }
+            let value = Value::copy_from_slice(std::mem::take(&mut r.0));
+            ClientOp::Put { key, scope, value }
         }
-        2 => {
-            if rest.len() != 8 {
-                return None;
-            }
-            ClientOp::Get {
-                key: Key(u64::from_le_bytes(rest.try_into().ok()?)),
-            }
-        }
-        3 => {
-            if rest.len() != 4 {
-                return None;
-            }
-            ClientOp::Persist {
-                scope: ScopeId(u32::from_le_bytes(rest.try_into().ok()?)),
-            }
-        }
-        4 => {
-            if !rest.is_empty() {
-                return None;
-            }
-            ClientOp::DumpDurable
-        }
+        2 => ClientOp::Get { key: Key(r.u64()?) },
+        3 => ClientOp::Persist {
+            scope: ScopeId(r.u32()?),
+        },
+        4 => ClientOp::DumpDurable,
         5 => {
             // [u32 count]{[u64 key][u32 ts_version][u16 ts_node]}
-            let count = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-            let mut rest = &rest[4..];
+            let count = r.u32()? as usize;
             let mut have = Vec::with_capacity(count.min(1 << 16));
             for _ in 0..count {
-                let key = Key(u64::from_le_bytes(rest.get(..8)?.try_into().ok()?));
-                let version = u32::from_le_bytes(rest.get(8..12)?.try_into().ok()?);
-                let node = NodeId(u16::from_le_bytes(rest.get(12..14)?.try_into().ok()?));
-                rest = &rest[14..];
-                have.push((key, Ts { version, node }));
-            }
-            if !rest.is_empty() {
-                return None;
+                have.push((Key(r.u64()?), r.ts()?));
             }
             ClientOp::Delta { have }
         }
-        6 => {
-            // [u16 peer][u8 up]
-            if rest.len() != 3 {
-                return None;
-            }
-            ClientOp::PeerStatus {
-                peer: NodeId(u16::from_le_bytes(rest[..2].try_into().ok()?)),
-                up: rest[2] == 1,
-            }
-        }
+        6 => ClientOp::PeerStatus {
+            peer: NodeId(r.u16()?),
+            up: r.u8()? == 1,
+        },
         _ => return None,
     };
-    Some((creq, parsed, ctx))
+    r.0.is_empty().then_some((creq, parsed, ctx))
 }
 
-/// Encodes a durable-log dump: `[u32 count]` then, per entry,
-/// `[u64 lsn][u64 key][u32 ts_version][u16 ts_node][u32 len][value]`.
-fn encode_log_dump(entries: &[LogEntry], body: &mut Vec<u8>) {
-    body.extend_from_slice(
-        &u32::try_from(entries.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    );
-    for e in entries {
-        body.extend_from_slice(&e.lsn.to_le_bytes());
-        body.extend_from_slice(&e.key.0.to_le_bytes());
-        body.extend_from_slice(&e.ts.version.to_le_bytes());
-        body.extend_from_slice(&e.ts.node.0.to_le_bytes());
-        body.extend_from_slice(
-            &u32::try_from(e.value.len())
-                .unwrap_or(u32::MAX)
-                .to_le_bytes(),
-        );
-        body.extend_from_slice(&e.value);
-    }
+/// Encodes a durable-log dump or catch-up delta reply payload:
+/// `[u32 count]` then the entries in the NVM log codec.
+fn encode_log_reply(entries: &[LogEntry], body: &mut Vec<u8>) {
+    let count = u32::try_from(entries.len()).unwrap_or(u32::MAX);
+    body.extend_from_slice(&count.to_le_bytes());
+    body.extend_from_slice(&encode_entries(entries));
 }
 
-/// Decodes [`encode_log_dump`] output; `None` on malformed payloads.
-fn decode_log_dump(mut rest: &[u8]) -> Option<Vec<LogEntry>> {
-    let count = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-    rest = &rest[4..];
-    let mut entries = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let lsn = u64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
-        let key = Key(u64::from_le_bytes(rest.get(8..16)?.try_into().ok()?));
-        let version = u32::from_le_bytes(rest.get(16..20)?.try_into().ok()?);
-        let node = NodeId(u16::from_le_bytes(rest.get(20..22)?.try_into().ok()?));
-        let len = u32::from_le_bytes(rest.get(22..26)?.try_into().ok()?) as usize;
-        let value = Value::copy_from_slice(rest.get(26..26 + len)?);
-        rest = &rest[26 + len..];
-        entries.push(LogEntry {
-            lsn,
-            key,
-            ts: Ts { version, node },
-            value,
-        });
+/// Decodes [`encode_log_reply`] output. A payload that does not decode
+/// completely to exactly the announced number of entries — truncated,
+/// bit-flipped or padded — is rejected.
+fn decode_log_reply(payload: &[u8]) -> std::io::Result<Vec<LogEntry>> {
+    let mut r = Cursor(payload);
+    match r.u32().map(|count| (count, decode_entries(r.0))) {
+        Some((count, (entries, DecodeOutcome::Complete))) if entries.len() == count as usize => {
+            Ok(entries)
+        }
+        _ => Err(std::io::Error::other("malformed log reply")),
     }
-    Some(entries)
 }
 
 /// A synchronous client for the TCP node protocol.
@@ -1031,6 +847,8 @@ pub struct TcpClient {
     stream: TcpStream,
     next_req: u64,
     trace_ctx: Option<TraceCtx>,
+    /// Request encode scratch, reused across calls.
+    buf: Vec<u8>,
 }
 
 impl TcpClient {
@@ -1044,6 +862,7 @@ impl TcpClient {
             stream: TcpStream::connect(addr)?,
             next_req: 1,
             trace_ctx: None,
+            buf: Vec::new(),
         })
     }
 
@@ -1056,26 +875,21 @@ impl TcpClient {
         self.trace_ctx = ctx.filter(|c| !c.is_empty());
     }
 
-    fn roundtrip(&mut self, mut body: Vec<u8>) -> std::io::Result<Vec<u8>> {
-        if let Some(ctx) = self.trace_ctx {
-            // Stamp after the fixed [op][creq] prefix all requests share.
-            body[0] |= CLIENT_CTX_FLAG;
-            let mut tail = body.split_off(9);
-            body.extend_from_slice(&ctx.encode());
-            body.append(&mut tail);
-        }
-        write_frame(&mut self.stream, &body)?;
+    /// Sends `op` and returns the whole reply, failing unless its status
+    /// byte (after the echoed `[creq]`) matches the op.
+    fn roundtrip<V: AsRef<[u8]>>(&mut self, op: &ClientOp<V>) -> std::io::Result<Vec<u8>> {
+        let creq = self.next_req;
+        self.next_req += 1;
+        encode_client_request(creq, op, self.trace_ctx, &mut self.buf);
+        write_frame(&mut self.stream, &self.buf)?;
         let resp = read_frame(&mut self.stream)?;
-        if resp.len() < 9 {
-            return Err(std::io::Error::other("short response"));
+        let code = op.code();
+        if resp.get(8) != Some(&code) {
+            return Err(std::io::Error::other(format!(
+                "unexpected response to op {code}"
+            )));
         }
         Ok(resp)
-    }
-
-    fn fresh(&mut self) -> u64 {
-        let r = self.next_req;
-        self.next_req += 1;
-        r
     }
 
     /// Writes `value` under `key`; returns the write's timestamp.
@@ -1084,25 +898,10 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn put(&mut self, key: Key, value: &[u8], scope: Option<ScopeId>) -> std::io::Result<Ts> {
-        let creq = self.fresh();
-        let mut body = vec![1u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        body.extend_from_slice(&key.0.to_le_bytes());
-        match scope {
-            Some(sc) => {
-                body.push(1);
-                body.extend_from_slice(&sc.0.to_le_bytes());
-            }
-            None => body.push(0),
-        }
-        body.extend_from_slice(value);
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 1 || resp.len() < 15 {
-            return Err(std::io::Error::other("unexpected put response"));
-        }
-        let version = u32::from_le_bytes(resp[9..13].try_into().unwrap());
-        let node = NodeId(u16::from_le_bytes(resp[13..15].try_into().unwrap()));
-        Ok(Ts { version, node })
+        let resp = self.roundtrip(&ClientOp::Put { key, scope, value })?;
+        Cursor(&resp[9..])
+            .ts()
+            .ok_or_else(|| std::io::Error::other("short put response"))
     }
 
     /// Reads `key` from the connected node.
@@ -1121,17 +920,12 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn get_versioned(&mut self, key: Key) -> std::io::Result<(Vec<u8>, Ts)> {
-        let creq = self.fresh();
-        let mut body = vec![2u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        body.extend_from_slice(&key.0.to_le_bytes());
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 2 || resp.len() < 15 {
-            return Err(std::io::Error::other("unexpected get response"));
-        }
-        let version = u32::from_le_bytes(resp[9..13].try_into().unwrap());
-        let node = NodeId(u16::from_le_bytes(resp[13..15].try_into().unwrap()));
-        Ok((resp[15..].to_vec(), Ts { version, node }))
+        let mut resp = self.roundtrip(&ClientOp::<Value>::Get { key })?;
+        let ts = Cursor(&resp[9..])
+            .ts()
+            .ok_or_else(|| std::io::Error::other("short get response"))?;
+        resp.drain(..15);
+        Ok((resp, ts))
     }
 
     /// Dumps the connected node's durable log (op 4) — the post-crash
@@ -1141,14 +935,7 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn dump_durable(&mut self) -> std::io::Result<Vec<LogEntry>> {
-        let creq = self.fresh();
-        let mut body = vec![4u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 4 {
-            return Err(std::io::Error::other("unexpected dump response"));
-        }
-        decode_log_dump(&resp[9..]).ok_or_else(|| std::io::Error::other("malformed log dump"))
+        decode_log_reply(&self.roundtrip(&ClientOp::<Value>::DumpDurable)?[9..])
     }
 
     /// Fetches a rejoin catch-up delta (op 5): ships `have` — this
@@ -1160,20 +947,8 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn fetch_delta(&mut self, have: &[(Key, Ts)]) -> std::io::Result<Vec<LogEntry>> {
-        let creq = self.fresh();
-        let mut body = vec![5u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        body.extend_from_slice(&u32::try_from(have.len()).unwrap_or(u32::MAX).to_le_bytes());
-        for (key, ts) in have {
-            body.extend_from_slice(&key.0.to_le_bytes());
-            body.extend_from_slice(&ts.version.to_le_bytes());
-            body.extend_from_slice(&ts.node.0.to_le_bytes());
-        }
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 5 {
-            return Err(std::io::Error::other("unexpected delta response"));
-        }
-        decode_log_dump(&resp[9..]).ok_or_else(|| std::io::Error::other("malformed delta"))
+        let have = have.to_vec();
+        decode_log_reply(&self.roundtrip(&ClientOp::<Value>::Delta { have })?[9..])
     }
 
     /// Notifies the connected node that `peer` went down (`up = false`)
@@ -1186,16 +961,8 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn set_peer_status(&mut self, peer: NodeId, up: bool) -> std::io::Result<()> {
-        let creq = self.fresh();
-        let mut body = vec![6u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        body.extend_from_slice(&peer.0.to_le_bytes());
-        body.push(u8::from(up));
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 6 {
-            return Err(std::io::Error::other("unexpected peer-status response"));
-        }
-        Ok(())
+        self.roundtrip(&ClientOp::<Value>::PeerStatus { peer, up })
+            .map(drop)
     }
 
     /// Issues a `[PERSIST]sc` for `scope`.
@@ -1204,15 +971,8 @@ impl TcpClient {
     ///
     /// Propagates socket errors and malformed responses.
     pub fn persist_scope(&mut self, scope: ScopeId) -> std::io::Result<()> {
-        let creq = self.fresh();
-        let mut body = vec![3u8];
-        body.extend_from_slice(&creq.to_le_bytes());
-        body.extend_from_slice(&scope.0.to_le_bytes());
-        let resp = self.roundtrip(body)?;
-        if resp[8] != 3 {
-            return Err(std::io::Error::other("unexpected persist response"));
-        }
-        Ok(())
+        self.roundtrip(&ClientOp::<Value>::Persist { scope })
+            .map(drop)
     }
 }
 
@@ -1315,5 +1075,204 @@ impl ShardedTcpClient {
     /// Propagates socket errors and malformed responses.
     pub fn dump_durable(&mut self, node: NodeId) -> std::io::Result<Vec<LogEntry>> {
         self.conn(node)?.dump_durable()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn entry(lsn: u64, key: u64, value: &[u8]) -> LogEntry {
+        LogEntry {
+            lsn,
+            key: Key(key),
+            ts: Ts {
+                version: lsn as u32,
+                node: NodeId(1),
+            },
+            value: Value::copy_from_slice(value),
+        }
+    }
+
+    #[test]
+    fn log_reply_round_trips_and_rejects_damage() {
+        let entries = vec![entry(1, 7, b"a"), entry(2, 8, b"bc"), entry(3, 7, b"")];
+        let mut body = Vec::new();
+        encode_log_reply(&entries, &mut body);
+        assert_eq!(decode_log_reply(&body).unwrap(), entries);
+        let mut empty = Vec::new();
+        encode_log_reply(&[], &mut empty);
+        assert!(decode_log_reply(&empty).unwrap().is_empty());
+        // Truncation at every offset, entry boundaries included, is
+        // rejected rather than read as a shorter log.
+        for cut in 0..body.len() {
+            assert!(decode_log_reply(&body[..cut]).is_err(), "cut at {cut}");
+        }
+        // So is any single flipped bit, and trailing garbage.
+        for bit in 0..body.len() * 8 {
+            let mut bad = body.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode_log_reply(&bad).is_err(), "bit {bit}");
+        }
+        let mut padded = body.clone();
+        padded.push(0);
+        assert!(decode_log_reply(&padded).is_err());
+    }
+
+    /// A reader that yields `data` and then EOF, recording the largest
+    /// buffer it was offered.
+    struct Probe<'a> {
+        data: &'a [u8],
+        max_buf: usize,
+    }
+
+    impl Read for Probe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.max_buf = self.max_buf.max(buf.len());
+            let n = buf.len().min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_frame_grows_with_the_body_not_the_header() {
+        // A header announcing a frame just under the cap, then 10 bytes
+        // and EOF: the read fails without sizing a buffer to the claim.
+        let mut bytes = u32::try_from(MAX_FRAME - 1).unwrap().to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[7u8; 10]);
+        let mut probe = Probe {
+            data: &bytes,
+            max_buf: 0,
+        };
+        let err = read_frame(&mut probe).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(probe.max_buf <= 1 << 20, "offered {} bytes", probe.max_buf);
+        // Over the cap: rejected from the header alone.
+        let over = u32::try_from(MAX_FRAME + 1).unwrap().to_le_bytes();
+        let mut probe = Probe {
+            data: &over,
+            max_buf: 0,
+        };
+        assert!(read_frame(&mut probe).is_err());
+        // A well-formed frame still reads back whole.
+        let mut ok = 3u32.to_le_bytes().to_vec();
+        ok.extend_from_slice(b"abc");
+        let mut probe = Probe {
+            data: &ok,
+            max_buf: 0,
+        };
+        assert_eq!(read_frame(&mut probe).unwrap(), b"abc");
+    }
+
+    fn arb_op() -> impl Strategy<Value = ClientOp> {
+        let ts = (any::<u32>(), any::<u16>()).prop_map(|(version, n)| Ts {
+            version,
+            node: NodeId(n),
+        });
+        prop_oneof![
+            (
+                any::<u64>(),
+                any::<bool>(),
+                any::<u32>(),
+                vec(any::<u8>(), 0..40)
+            )
+                .prop_map(|(k, scoped, sc, v)| ClientOp::Put {
+                    key: Key(k),
+                    scope: scoped.then_some(ScopeId(sc)),
+                    value: Value::from(v),
+                }),
+            any::<u64>().prop_map(|k| ClientOp::Get { key: Key(k) }),
+            any::<u32>().prop_map(|sc| ClientOp::Persist { scope: ScopeId(sc) }),
+            Just(ClientOp::DumpDurable),
+            vec((any::<u64>(), ts), 0..6).prop_map(|have| ClientOp::Delta {
+                have: have.into_iter().map(|(k, ts)| (Key(k), ts)).collect(),
+            }),
+            (any::<u16>(), any::<bool>()).prop_map(|(p, up)| ClientOp::PeerStatus {
+                peer: NodeId(p),
+                up,
+            }),
+        ]
+    }
+
+    fn arb_ctx() -> impl Strategy<Value = Option<TraceCtx>> {
+        (any::<bool>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+            |(some, trace_id, span, origin_ns)| {
+                let ctx = TraceCtx {
+                    trace_id: trace_id | 1,
+                    span,
+                    origin_ns,
+                };
+                some.then_some(ctx)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes — fully random, or a plausible op byte over a
+        /// random tail — parse to `None` or `Some`, never a panic.
+        #[test]
+        fn prop_arbitrary_bytes_never_panic(
+            raw in vec(any::<u8>(), 0..96),
+            op in 0u8..8,
+            flag in any::<bool>(),
+            tail in vec(any::<u8>(), 0..96),
+        ) {
+            let _ = parse_client_request(&raw);
+            let mut frame = vec![if flag { op | CLIENT_CTX_FLAG } else { op }];
+            frame.extend_from_slice(&tail);
+            let _ = parse_client_request(&frame);
+        }
+
+        /// Every encoded op parses back to itself, context included.
+        #[test]
+        fn prop_encoded_ops_round_trip(
+            op in arb_op(),
+            creq in any::<u64>(),
+            ctx in arb_ctx(),
+        ) {
+            let mut buf = Vec::new();
+            encode_client_request(creq, &op, ctx, &mut buf);
+            prop_assert_eq!(parse_client_request(&buf), Some((creq, op, ctx)));
+        }
+
+        /// A valid request cut at any offset never panics the parser.
+        #[test]
+        fn prop_truncated_requests_never_panic(
+            op in arb_op(),
+            creq in any::<u64>(),
+            ctx in arb_ctx(),
+        ) {
+            let mut buf = Vec::new();
+            encode_client_request(creq, &op, ctx, &mut buf);
+            for cut in 0..buf.len() {
+                let _ = parse_client_request(&buf[..cut]);
+            }
+        }
+    }
+
+    #[test]
+    fn put_request_bytes_are_the_documented_layout() {
+        // `[1][creq][key][scope-flag][scope?][value]`, as raw-socket
+        // clients write it.
+        let mut buf = Vec::new();
+        let op = ClientOp::Put {
+            key: Key(5),
+            scope: Some(ScopeId(9)),
+            value: &b"v"[..],
+        };
+        encode_client_request(3, &op, None, &mut buf);
+        let mut want = vec![1u8];
+        want.extend_from_slice(&3u64.to_le_bytes());
+        want.extend_from_slice(&5u64.to_le_bytes());
+        want.push(1);
+        want.extend_from_slice(&9u32.to_le_bytes());
+        want.push(b'v');
+        assert_eq!(buf, want);
     }
 }

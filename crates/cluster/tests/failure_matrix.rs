@@ -243,3 +243,37 @@ fn writes_in_flight_during_crash_complete_or_fail_cleanly() {
         Err(_) => panic!("cluster still shared"),
     }
 }
+
+#[test]
+fn rejoin_while_another_node_is_still_down_under_every_model() {
+    // Two of three nodes crash; one rejoins while the other stays down.
+    // The rejoiner's rebuilt engine must exclude the still-down peer
+    // (its failure notice reached the rejoiner while it was crashed), or
+    // every write it coordinates waits forever for that peer's ACK.
+    for model in DdpModel::all_lin() {
+        let cl = Cluster::spawn(fast_cfg(3), model);
+        let scoped = model.persistency == PersistencyModel::Scope;
+        cl.crash_node(NodeId(2));
+        assert!(
+            cl.await_failure_detection(NodeId(2), Duration::from_secs(5)),
+            "{model}: first crash undetected"
+        );
+        cl.crash_node(NodeId(1));
+        assert!(
+            cl.await_failure_detection(NodeId(1), Duration::from_secs(5)),
+            "{model}: second crash undetected"
+        );
+        cl.rejoin_node(NodeId(1))
+            .unwrap_or_else(|e| panic!("{model}: rejoin: {e}"));
+
+        let sc = scoped.then_some(ScopeId(1));
+        cl.put_scoped(NodeId(1), Key(1), "rejoined".into(), sc)
+            .unwrap_or_else(|e| panic!("{model}: write at the rejoiner: {e}"));
+        if let Some(sc) = sc {
+            cl.persist_scope(NodeId(1), sc)
+                .unwrap_or_else(|e| panic!("{model}: persist at the rejoiner: {e}"));
+        }
+        assert_eq!(cl.get(NodeId(0), Key(1)).unwrap(), "rejoined", "{model}");
+        cl.shutdown();
+    }
+}

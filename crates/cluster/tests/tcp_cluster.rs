@@ -402,3 +402,89 @@ fn tcp_node_rejoins_with_log_replay_and_donor_catchup() {
     }
     let _ = std::fs::remove_file(&log_path);
 }
+
+/// A sharded TCP node samples the same gauges the threaded cluster
+/// does: its metrics dump carries a per-shard lock-table series for each
+/// shard it hosts, and none for shards it does not.
+#[test]
+fn sharded_tcp_node_exports_per_shard_gauges() {
+    // 2 shards × 2 replicas over 4 nodes: node 0 hosts shard 0 only.
+    let map = ShardMap::uniform(2, 4, 2);
+    let peers = free_addrs(4);
+    let client_addrs = free_addrs(4);
+    let metrics = std::env::temp_dir().join(format!(
+        "minos-tcp-gauges-{}-{:?}.prom",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&metrics);
+    let nodes: Vec<TcpNode> = (0..4u16)
+        .map(|i| {
+            TcpNode::serve(TcpNodeConfig {
+                node: NodeId(i),
+                model: DdpModel::lin(PersistencyModel::Synchronous),
+                peers: peers.clone(),
+                client_addr: client_addrs[i as usize],
+                persist_ns_per_kb: 1295,
+                batching: false,
+                broadcast: false,
+                trace_out: None,
+                metrics_out: (i == 0).then(|| metrics.clone()),
+                metrics_interval: Duration::from_millis(10),
+                chaos: None,
+                fault: None,
+                placement: Some(map.clone()),
+                nvm_log: None,
+                rejoin_donor: None,
+            })
+            .expect("bind node")
+        })
+        .collect();
+    let clients: Vec<SocketAddr> = nodes.iter().map(TcpNode::client_addr).collect();
+    let mut c = ShardedTcpClient::new(map, NodeId(0), clients);
+    for k in 0..8u64 {
+        c.put(Key(k), b"g", None).unwrap();
+    }
+    // Shutdown takes a final sample and dump.
+    for n in nodes {
+        n.shutdown();
+    }
+    let text = std::fs::read_to_string(&metrics).expect("metrics dump");
+    let _ = std::fs::remove_file(&metrics);
+    assert!(
+        text.contains(r#"minos_gauge{kind="lock_table_size",node="0",shard="0"}"#),
+        "no per-shard lock-table series for the hosted shard:\n{text}"
+    );
+    assert!(
+        !text.contains(r#"kind="lock_table_size",node="0",shard="1""#),
+        "lock-table series for a shard node 0 does not host:\n{text}"
+    );
+    assert!(text.contains(r#"minos_gauge{kind="inflight_txs",node="0"}"#));
+}
+
+/// The peer-status admin op names a peer by id; an id outside the
+/// cluster must not join the live peer set, or a scope flush (which fans
+/// out to every live peer) would try to reach a node that does not
+/// exist.
+#[test]
+fn tcp_node_ignores_status_for_unknown_peers() {
+    let (nodes, clients) = spawn_tcp_cluster(2, DdpModel::lin(PersistencyModel::Scope));
+    let mut c = TcpClient::connect(clients[0]).unwrap();
+    c.set_peer_status(NodeId(99), true).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let sc = Some(ScopeId(1));
+        let done = c
+            .put(Key(1), b"v", sc)
+            .and_then(|_| c.persist_scope(ScopeId(1)));
+        let _ = tx.send(done.map_err(|e| e.to_string()));
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("scope flush wedged after a status notice for an unknown peer")
+        .unwrap();
+    let mut c1 = TcpClient::connect(clients[1]).unwrap();
+    assert_eq!(c1.get(Key(1)).unwrap(), b"v");
+    for n in nodes {
+        n.shutdown();
+    }
+}
