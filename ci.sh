@@ -7,7 +7,9 @@
 #   ./ci.sh --chaos  — additionally runs the seeded-torture block:
 #                      mutation smoke (both protocol faults must be found
 #                      and shrunk; output includes the reproducing seed),
-#                      clean chaos sweeps on the threaded runtime
+#                      the conformance tests built with fault injection
+#                      (the same armed faults through the library on
+#                      both runtimes), clean chaos sweeps on the threaded runtime
 #                      (fully replicated and 4-shard × 3-replica sharded)
 #                      and the TCP runtime, scenario sweeps (YCSB A/E/F,
 #                      compose, skew, geo as torture workloads under all
@@ -122,6 +124,9 @@ if [ "$CHAOS" -eq 1 ]; then
         --fault skip-inv@1 --expect-violation
     "$TORTURE" --runtime tcp --model synch --seeds 20 --clients 2 --ops 8 \
         --fault phantom-persist@1 --expect-violation
+
+    echo "==> chaos: conformance tests with fault injection (armed faults on both runtimes)"
+    cargo test --release -p minos-check --features fault-injection --test conformance
 
     echo "==> chaos: rebuild minos-torture (faults compiled out)"
     cargo build --release -p minos-check

@@ -156,6 +156,25 @@ fn main() {
         usage();
     }
 
+    // Sizes the runs would otherwise trip over mid-campaign: an empty
+    // cluster or key space, a replica count the shard map cannot place,
+    // a fault armed on a node that does not exist.
+    if nodes == 0 || keys == 0 {
+        eprintln!("--nodes and --keys must be at least 1");
+        usage();
+    }
+    if shards > 0 && (replicas == 0 || replicas > nodes) {
+        eprintln!("--replicas must be between 1 and --nodes ({nodes})");
+        usage();
+    }
+    if let Some(f) = fault.filter(|f| f.node >= nodes) {
+        eprintln!(
+            "--fault node {} is outside the {nodes}-node cluster",
+            f.node
+        );
+        usage();
+    }
+
     if fault.is_some() && !cfg!(feature = "fault-injection") {
         eprintln!(
             "--fault requires a binary built with --features fault-injection \
@@ -213,9 +232,9 @@ fn main() {
         }
 
         let result = if tcp {
-            torture(start, seeds, &opts, true, run_tcp, true)
+            torture(start, seeds, &opts, run_tcp, true)
         } else {
-            torture(start, seeds, &opts, false, run_threaded, true)
+            torture(start, seeds, &opts, run_threaded, true)
         };
         total_ops += result.ops_checked;
         if let Some(f) = result.failure {

@@ -13,9 +13,10 @@
 //!   using it as the op interval is sound for linearizability checking
 //!   (it can only make the real-time order *stricter*, never miss an
 //!   ordering constraint the client could observe).
-//! * Driver-side recording — the TCP torture driver timestamps its own
-//!   blocking calls (every node process has its own trace epoch, so
-//!   node-side `at_ns` values are not comparable across a TCP cluster).
+//! * Client-side recording — on the TCP runtime the torture driver's
+//!   client handles timestamp their own blocking calls (every node
+//!   process has its own trace epoch, so node-side `at_ns` values are
+//!   not comparable across a TCP cluster).
 
 use minos_core::obs::{OpKind, TraceEvent, TraceRecord, TraceSink};
 use minos_types::{Key, NodeId, ScopeId, Ts};

@@ -10,8 +10,9 @@
 //!
 //! * [`history`] — operation histories. [`history::HistoryRecorder`]
 //!   taps the observability layer's `OpAdmitted`/`OpCompleted` records
-//!   into invocation/response intervals; drivers without a shared trace
-//!   clock (TCP) record histories client-side instead.
+//!   into invocation/response intervals; on the TCP runtime, which has
+//!   no shared trace clock, the torture driver records histories
+//!   client-side instead.
 //! * [`prepass`] + [`linearize`] — consistency. The pre-pass audits are
 //!   fast necessary conditions with precise diagnostics; the
 //!   [`linearize`] module is a *complete* per-key Wing & Gill search
@@ -20,11 +21,11 @@
 //! * [`persistency`] — the five DDP durability oracles, checked against
 //!   end-of-run durable-log snapshots.
 //! * [`schedule`] + [`torture`] — seeded chaos. A `u64` seed derives a
-//!   deterministic injection schedule (message delays/reorders plus a
-//!   crash/recovery point); the torture drivers run concurrent client
-//!   traffic under it, check everything, and greedily shrink any
-//!   failing schedule to a minimal reproduction. The `minos-torture`
-//!   binary fronts this (`ci.sh --chaos` runs it).
+//!   deterministic injection schedule (message delays/reorders plus
+//!   crash/rejoin points); one torture driver runs concurrent client
+//!   traffic under it on either live runtime, checks everything, and
+//!   greedily shrinks any failing schedule to a minimal reproduction.
+//!   The `minos-torture` binary fronts this (`ci.sh --chaos` runs it).
 //!
 //! With the `fault-injection` feature, deliberate protocol bugs
 //! ([`minos_types::FaultKind`]) can be armed through the runtime configs

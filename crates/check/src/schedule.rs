@@ -5,10 +5,9 @@
 //! `minos-torture` is a complete reproduction recipe. The schedule is
 //! *explicit data* (not a probability): message-level injections ride in
 //! [`ChaosSpec`] down to the `ChaosNet` transport middleware, and the
-//! crash/rejoin points are executed by the torture driver against the
-//! cluster facade, keyed on *protocol progress* (completed-op count from
-//! the [`crate::history::HistoryRecorder`]) rather than wall time so
-//! they replay stably. A schedule may carry several crash points — a
+//! crash/rejoin points are executed by the torture driver against
+//! either live runtime, keyed on *protocol progress* (the history's
+//! completed-op count) rather than wall time so they replay stably. A schedule may carry several crash points — a
 //! rolling restart — whose outage windows the generator keeps disjoint.
 //!
 //! Shrinking is greedy component removal: drop one injection (or one

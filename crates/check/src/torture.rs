@@ -3,32 +3,40 @@
 //! One *run* = one seed: derive a [`Schedule`] from the seed, stand up a
 //! fresh cluster with the schedule's message injections installed in its
 //! transport, drive concurrent client traffic (plus the schedule's
-//! crash/recovery point, keyed on completed-op count), then hand the
+//! crash/rejoin points, keyed on completed-op count), then hand the
 //! recorded history and the end-of-run durable logs to every checker:
 //! the necessary-condition pre-pass, the complete per-key
 //! linearizability search, the model's persistency oracles, and a
 //! value-consistency sweep against what the clients actually wrote.
 //!
-//! Two drivers share the workload shape:
+//! One driver does all of that for both live runtimes. It sees a runtime
+//! through a small crate-private control surface (completed-op count,
+//! history clock, crash, quiesce, rejoin, durable log, history) plus
+//! per-thread client handles (put, multi-key put, get and scope flush at
+//! a chosen coordinator) that own their connections, so the driver's
+//! crash controller can crash and rejoin nodes while clients run. The two
+//! entry points only build their runtime, and differ in where the
+//! history comes from:
 //!
 //! * [`run_threaded`] — the in-process threaded cluster. The history
-//!   comes from a [`HistoryRecorder`] tapping the observability layer;
-//!   crash/rejoin points go through the cluster facade's epoch/lease
-//!   view machinery ([`minos_cluster::Cluster::rejoin_node`]).
+//!   comes from a [`HistoryRecorder`] tapping the observability layer,
+//!   whose `[admit, complete]` windows are tighter than any interval a
+//!   client could measure; crash/rejoin points go through the cluster
+//!   facade's epoch/lease view machinery
+//!   ([`minos_cluster::Cluster::rejoin_node`]).
 //! * [`run_tcp`] — real-socket nodes. Every node process has its own
-//!   trace epoch, so the driver records the history *client-side*
+//!   trace epoch, so the client handles record the history themselves
 //!   (invocation/response around each blocking call — a superset of the
 //!   true intervals, hence sound); durable logs arrive over the wire via
 //!   the `dump-durable` client op. Crash points stop the node outright
 //!   (ports released, per-node NVM log file surviving on disk) and
 //!   rejoin re-serves it on the same addresses — own-log replay, donor
-//!   catch-up, `set_peer_status` readmission. Schedules stick to
-//!   delay/reorder injections (no retransmission on the live wire).
+//!   catch-up, `set_peer_status` readmission.
 //!
-//! Both drivers hand each node's membership history to the persistency
-//! oracles as an [`crate::persistency::AuditMode`], so a rejoined
-//! replica is audited in full for everything invoked after its
-//! readmission.
+//! Schedules stick to delay/reorder injections (no retransmission on the
+//! live wire). The driver hands each node's membership history to the
+//! persistency oracles as an [`AuditMode`], so a rejoined replica is
+//! audited in full for everything invoked after its readmission.
 //!
 //! # Workload
 //!
@@ -46,6 +54,8 @@
 //! compose flows, the hot-key skew storm, or the WAN geo profile.
 //! Scenario ops decompose into the primitive reads and writes the
 //! history already records, so the checkers need no scenario knowledge.
+//! Each client thread draws its ops from a seeded stream that is the
+//! same on both runtimes.
 //!
 //! After the clients join, the driver quiesces and issues a sequential
 //! **probe read of every key at every live node**. Probes enter the same
@@ -53,19 +63,21 @@
 //! linearizability search even if no concurrent client read happened to
 //! catch it.
 
-use crate::history::{History, HistoryRecorder};
-use crate::persistency::NodeLog;
+use crate::history::{ClientOp, History, HistoryRecorder};
+use crate::persistency::{self, AuditMode, NodeLog};
 use crate::schedule::{generate, shrink, Rng, Schedule, ScheduleOptions};
-use crate::{linearize, persistency, prepass};
 use minos_cluster::tcp::{TcpClient, TcpNode, TcpNodeConfig};
 use minos_cluster::Cluster;
 use minos_core::obs::{OpKind, SharedSink};
+use minos_nvm::LogEntry;
 use minos_types::{
     ClusterConfig, DdpModel, FaultSpec, Key, MsgChaos, NodeId, PersistencyModel, ScopeId, ShardMap,
     Ts,
 };
 use minos_workload::openloop::Scenario;
 use std::collections::{HashMap, HashSet};
+use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -96,7 +108,8 @@ pub struct TortureOptions {
     /// clients route through the facade, the workload mixes in multi-key
     /// cross-shard writes, recovery donors come from the crashed node's
     /// replica group, and the persistency oracles audit per the map.
-    /// Threaded runtime only (the TCP driver has no routing client).
+    /// Threaded runtime only: TCP rejoin picks any live donor rather than
+    /// a replica-group peer, and TCP clients have no `put_multi`.
     pub placement: Option<ShardMap>,
     /// Scenario shaping the client mix ([`Scenario`] from the open-loop
     /// library). `None` keeps the classic torture mix. Scenario ops
@@ -148,12 +161,10 @@ impl TortureOptions {
         self.keys + u64::from(self.clients) * u64::from(self.ops_per_client)
     }
 
-    /// Schedule-generation knobs matching this workload. Crash/rejoin
-    /// points run on both runtimes: the threaded driver goes through the
-    /// cluster facade's view machinery, the TCP driver kills the node
-    /// process outright and restarts it against its on-disk NVM log.
+    /// Schedule-generation knobs matching this workload (the same for
+    /// both runtimes).
     #[must_use]
-    pub fn schedule_options(&self, _tcp: bool) -> ScheduleOptions {
+    pub fn schedule_options(&self) -> ScheduleOptions {
         ScheduleOptions {
             nodes: self.nodes,
             injections: self.injections,
@@ -209,13 +220,12 @@ fn check_everything(
     history: &History,
     logs: &[NodeLog],
     placement: Option<&ShardMap>,
-    written: &HashMap<(Key, Ts), Vec<u8>>,
-    reads: &[(Key, Ts, Vec<u8>)],
+    ledger: &Ledger,
 ) -> Vec<String> {
-    let mut v = prepass::audit(history);
-    v.extend(linearize::check(history));
+    let mut v = crate::check_consistency(history);
     v.extend(persistency::check_placed(model, history, logs, placement));
-    for (k, ts, got) in reads {
+    let written = ledger.written.lock().unwrap();
+    for (k, ts, got) in ledger.reads.lock().unwrap().iter() {
         if ts.version == 0 {
             if !got.is_empty() {
                 v.push(format!(
@@ -252,7 +262,7 @@ enum Roll {
 }
 
 /// Picks the next op. `multi_ok` gates batched multi-key writes (the
-/// threaded facade routes them; the TCP client does not).
+/// threaded facade routes them; TCP clients have none).
 fn roll(
     rng: &mut Rng,
     model: PersistencyModel,
@@ -330,11 +340,325 @@ fn pick_key(rng: &mut Rng, keys: u64, workload: Option<Scenario>) -> Key {
     Key(rng.below(keys))
 }
 
-/// Values written during a run, keyed by the protocol-assigned `(key, ts)`
-/// — the ground truth reads and the persistency oracles are audited against.
-type WrittenMap = Arc<Mutex<HashMap<(Key, Ts), Vec<u8>>>>;
-/// Reads observed during a run: `(key, observed ts, observed bytes)`.
-type ReadLog = Arc<Mutex<Vec<(Key, Ts, Vec<u8>)>>>;
+/// A client or control op's outcome; the error is only ever reported.
+type OpResult<T> = Result<T, String>;
+
+/// What the clients wrote and read: written values keyed by the
+/// protocol-assigned `(key, ts)` — the ground truth reads and the
+/// persistency oracles are audited against — and every read as
+/// `(key, observed ts, observed bytes)`.
+#[derive(Default)]
+struct Ledger {
+    written: Mutex<HashMap<(Key, Ts), Vec<u8>>>,
+    reads: Mutex<Vec<(Key, Ts, Vec<u8>)>>,
+}
+
+impl Ledger {
+    fn put(
+        &self,
+        client: &mut impl Client,
+        node: NodeId,
+        key: Key,
+        value: Vec<u8>,
+        scope: Option<ScopeId>,
+    ) -> OpResult<()> {
+        let ts = client.put(node, key, &value, scope)?;
+        self.written.lock().unwrap().insert((key, ts), value);
+        Ok(())
+    }
+
+    fn put_multi(
+        &self,
+        client: &mut impl Client,
+        node: NodeId,
+        batch: Vec<(Key, Vec<u8>)>,
+        scope: Option<ScopeId>,
+    ) -> OpResult<()> {
+        let tss = client.put_multi(node, &batch, scope)?;
+        let mut w = self.written.lock().unwrap();
+        for ((k, v), ts) in batch.into_iter().zip(tss) {
+            w.insert((k, ts), v);
+        }
+        Ok(())
+    }
+
+    fn get(&self, client: &mut impl Client, node: NodeId, key: Key) -> OpResult<()> {
+        let (v, ts) = client.get(node, key)?;
+        self.reads.lock().unwrap().push((key, ts, v));
+        Ok(())
+    }
+}
+
+/// A live runtime under torture: the control surface the crash
+/// controller drives, and a factory for client handles.
+trait Runtime {
+    /// A client thread's handle. It does not borrow the runtime, so the
+    /// controller can crash and rejoin nodes while clients run.
+    type Client: Client + Send;
+    /// Whether clients can issue batched multi-key writes.
+    const MULTI_WRITES: bool;
+    fn client(&self) -> Self::Client;
+    /// Client ops completed so far; crash points are keyed on it.
+    fn completed(&self) -> u64;
+    /// The history clock now: a rejoiner is audited from here on.
+    fn clock(&self) -> u64;
+    /// Crashes `node` and has the survivors exclude it.
+    fn crash(&mut self, node: NodeId) -> OpResult<()>;
+    /// Lets in-flight work land while clients are paused (nodes in
+    /// `down` excepted) before a rejoin ships a donor's durable log.
+    fn quiesce(&self, down: &[NodeId]);
+    /// Brings crashed `node` back: own-log replay, donor catch-up,
+    /// readmission.
+    fn rejoin(&mut self, node: NodeId) -> OpResult<()>;
+    /// `node`'s durable log (crashed nodes too: NVM survives).
+    fn durable_log(&self, node: NodeId) -> OpResult<Vec<LogEntry>>;
+    fn history(&self) -> History;
+    fn shutdown(self);
+}
+
+/// A client handle: blocking ops at a chosen coordinator.
+trait Client {
+    fn put(&mut self, node: NodeId, key: Key, value: &[u8], scope: Option<ScopeId>)
+        -> OpResult<Ts>;
+    fn put_multi(
+        &mut self,
+        node: NodeId,
+        writes: &[(Key, Vec<u8>)],
+        scope: Option<ScopeId>,
+    ) -> OpResult<Vec<Ts>>;
+    fn get(&mut self, node: NodeId, key: Key) -> OpResult<(Vec<u8>, Ts)>;
+    fn persist_scope(&mut self, node: NodeId, scope: ScopeId) -> OpResult<()>;
+}
+
+/// Client thread `c`'s op stream. Failed ops need no handling here: a
+/// write that never returned stays pending in the history.
+fn client_ops(
+    client: &mut impl Client,
+    c: u16,
+    seed: u64,
+    opts: &TortureOptions,
+    multi_ok: bool,
+    paused: &AtomicBool,
+    ledger: &Ledger,
+) {
+    let mut rng = Rng::new(seed ^ (0xC1E27 + u64::from(c) * 0x9E3779B9));
+    // Scope-model clients pin their coordinator: scopes are registered
+    // per (origin, sc), so the flush must go through the node that
+    // coordinated the scoped writes.
+    let scoped = opts.model == PersistencyModel::Scope;
+    let pinned = NodeId(c % opts.nodes);
+    let scope = ScopeId(u32::from(c));
+    for i in 0..opts.ops_per_client {
+        while paused.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let node = if scoped {
+            pinned
+        } else {
+            NodeId(rng.below(u64::from(opts.nodes)) as u16)
+        };
+        let key = pick_key(&mut rng, opts.keys, opts.workload);
+        let tag = format!("s{seed:x}-c{c}-i{i}");
+        match roll(&mut rng, opts.model, multi_ok, opts.workload) {
+            Roll::Write => {
+                let sc = (scoped && rng.chance(2, 3)).then_some(scope);
+                let _ = ledger.put(client, node, key, tag.into_bytes(), sc);
+            }
+            Roll::MultiWrite => {
+                // 2–3 adjacent keys: consecutive keys land on
+                // consecutive shards, so the batch crosses a shard
+                // boundary whenever the map has one.
+                let count = (2 + u64::from(rng.chance(1, 2))).min(opts.keys);
+                let batch = (0..count)
+                    .map(|j| {
+                        let k = Key((key.0 + j) % opts.keys);
+                        (k, format!("{tag}-m{j}").into_bytes())
+                    })
+                    .collect();
+                let sc = (scoped && rng.chance(2, 3)).then_some(scope);
+                let _ = ledger.put_multi(client, node, batch, sc);
+            }
+            Roll::Read => {
+                let _ = ledger.get(client, node, key);
+            }
+            Roll::Rmw => {
+                // Read, then the dependent write (issued whether or not
+                // the read succeeded): two primitive history ops, so
+                // every oracle applies as-is.
+                let _ = ledger.get(client, node, key);
+                let _ = ledger.put(client, node, key, format!("{tag}-rmw").into_bytes(), None);
+            }
+            Roll::Scan(len) => {
+                // Each leg is an ordinary point read; a failed leg ends
+                // the scan.
+                for j in 0..len {
+                    if ledger
+                        .get(client, node, Key((key.0 + j) % opts.keys))
+                        .is_err()
+                    {
+                        break;
+                    }
+                }
+            }
+            Roll::Flush => {
+                let _ = client.persist_scope(pinned, scope);
+            }
+        }
+    }
+}
+
+/// One run of `schedule` on `rt`: warm-up, the client threads under the
+/// crash controller, post-run rejoin, the probe pass, then every checker
+/// over the history and durable logs. Shuts `rt` down.
+fn run<R: Runtime>(mut rt: R, schedule: &Schedule, opts: &TortureOptions) -> RunReport {
+    let ledger = Ledger::default();
+    let mut violations = Vec::new();
+
+    // Warm-up: one sequential, overlap-free write per key.
+    let mut warm = rt.client();
+    for k in 0..opts.keys {
+        let node = NodeId((k % u64::from(opts.nodes)) as u16);
+        let value = format!("warmup-k{k}").into_bytes();
+        if let Err(e) = ledger.put(&mut warm, node, Key(k), value, None) {
+            violations.push(format!("warm-up write of k{k} via {node} failed: {e}"));
+        }
+    }
+    drop(warm);
+
+    let paused = AtomicBool::new(false);
+    let done_clients = AtomicU32::new(0);
+    let multi_ok =
+        R::MULTI_WRITES && (opts.placement.is_some() || opts.workload == Some(Scenario::Compose));
+
+    // Membership bookkeeping the crash controller maintains: nodes
+    // currently down, every node that crashed at least once, and — per
+    // rejoined node — the history-clock watermark of its readmission
+    // (everything invoked after it is audited in full).
+    let mut down: Vec<NodeId> = Vec::new();
+    let mut ever_crashed: HashSet<NodeId> = HashSet::new();
+    let mut rejoined_at: HashMap<NodeId, u64> = HashMap::new();
+
+    std::thread::scope(|s| {
+        for c in 0..opts.clients {
+            let mut client = rt.client();
+            let (paused, done_clients, ledger) = (&paused, &done_clients, &ledger);
+            s.spawn(move || {
+                client_ops(
+                    &mut client,
+                    c,
+                    schedule.seed,
+                    opts,
+                    multi_ok,
+                    paused,
+                    ledger,
+                );
+                done_clients.fetch_add(1, Ordering::Release);
+            });
+        }
+
+        // The driver doubles as the crash controller, keyed on protocol
+        // progress so schedules replay stably. Points run in order — a
+        // rolling restart when the windows chain across nodes.
+        let all_done = || done_clients.load(Ordering::Acquire) >= u32::from(opts.clients);
+        let await_ops = |rt: &R, ops: u64| {
+            while rt.completed() < ops && !all_done() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        for cp in &schedule.crashes {
+            let node = NodeId(cp.node % opts.nodes);
+            await_ops(&rt, cp.after_ops);
+            if down.contains(&node) {
+                // Shrinking can drop an earlier rejoin and leave this
+                // point aimed at a node that is already down.
+                continue;
+            }
+            if let Err(e) = rt.crash(node) {
+                violations.push(e);
+            }
+            down.push(node);
+            ever_crashed.insert(node);
+            let Some(after) = cp.recover_after_ops else {
+                continue;
+            };
+            await_ops(&rt, after);
+            // Quiesce before the catch-up delta ships: rejoin replicates
+            // from the *donor's durable log*, so in-flight writes (and,
+            // under the background-persist models, persists still in the
+            // device) must land first or the rejoiner would serve
+            // genuinely stale data.
+            paused.store(true, Ordering::Release);
+            rt.quiesce(&down);
+            match rt.rejoin(node) {
+                Ok(()) => {
+                    down.retain(|&n| n != node);
+                    rejoined_at.insert(node, rt.clock());
+                }
+                Err(e) => violations.push(format!("rejoin of {node} failed: {e}")),
+            }
+            paused.store(false, Ordering::Release);
+        }
+    });
+
+    // Post-run: rejoin every node the schedule left down — the rejoin
+    // machinery is part of what's under test, and the probe pass below
+    // then audits the rejoiner too.
+    for node in std::mem::take(&mut down) {
+        match rt.rejoin(node) {
+            Ok(()) => {
+                rejoined_at.insert(node, rt.clock());
+            }
+            Err(e) => violations.push(format!("post-run rejoin of {node} failed: {e}")),
+        }
+    }
+
+    // Probe pass: sequential reads of every key at every node, entering
+    // the same history (they are real client ops).
+    std::thread::sleep(Duration::from_millis(10));
+    let mut probe = rt.client();
+    for k in 0..opts.keys {
+        for n in 0..opts.nodes {
+            let _ = ledger.get(&mut probe, NodeId(n), Key(k));
+        }
+    }
+    drop(probe);
+
+    // Durable-log snapshots. The audit mode encodes each node's
+    // membership history: full-run nodes get the full containment
+    // oracles, rejoined nodes answer for everything invoked after their
+    // readmission, nodes that never made it back get the phantom oracle
+    // only.
+    let mut logs = Vec::new();
+    for node in (0..opts.nodes).map(NodeId) {
+        let mode = if !ever_crashed.contains(&node) {
+            AuditMode::Full
+        } else if let Some(&since) = rejoined_at.get(&node) {
+            AuditMode::Rejoined { since }
+        } else {
+            AuditMode::Excused
+        };
+        match rt.durable_log(node) {
+            Ok(entries) => logs.push(NodeLog {
+                node,
+                entries: entries.iter().map(|e| (e.key, e.ts)).collect(),
+                mode,
+            }),
+            Err(e) => violations.push(format!("durable-log snapshot of {node} failed: {e}")),
+        }
+    }
+
+    let history = rt.history();
+    let ops = history.completed().count();
+    violations.extend(check_everything(
+        opts.model,
+        &history,
+        &logs,
+        opts.placement.as_ref(),
+        &ledger,
+    ));
+    rt.shutdown();
+    RunReport { violations, ops }
+}
 
 /// One threaded-cluster run under `schedule`.
 #[must_use]
@@ -362,273 +686,122 @@ pub fn run_threaded(schedule: &Schedule, opts: &TortureOptions) -> RunReport {
     if let Some(f) = opts.fault {
         cfg = cfg.with_fault(f);
     }
-
     let recorder = minos_core::obs::shared(HistoryRecorder::new());
     let sink: SharedSink = recorder.clone();
-    let cluster = Arc::new(Cluster::spawn_observed(
-        cfg,
-        DdpModel::lin(opts.model),
-        vec![sink],
-    ));
+    let cluster = Cluster::spawn_observed(cfg, DdpModel::lin(opts.model), vec![sink]);
+    let rt = Threaded {
+        cluster: Arc::new(cluster),
+        recorder,
+    };
+    run(rt, schedule, opts)
+}
 
-    let written: WrittenMap = Arc::new(Mutex::new(HashMap::new()));
-    let reads: ReadLog = Arc::new(Mutex::new(Vec::new()));
-    let mut violations = Vec::new();
+/// The threaded cluster, with its history from the trace tap.
+struct Threaded {
+    cluster: Arc<Cluster>,
+    recorder: Arc<Mutex<HistoryRecorder>>,
+}
 
-    // Warm-up: one sequential, overlap-free write per key.
-    for k in 0..opts.keys {
-        let node = NodeId((k % u64::from(opts.nodes)) as u16);
-        let value = format!("warmup-k{k}").into_bytes();
-        match cluster.put(node, Key(k), value.clone().into()) {
-            Ok(ts) => {
-                written.lock().unwrap().insert((Key(k), ts), value);
-            }
-            Err(e) => violations.push(format!("warm-up write of k{k} via {node} failed: {e}")),
-        }
+impl Runtime for Threaded {
+    type Client = Arc<Cluster>;
+    const MULTI_WRITES: bool = true;
+
+    fn client(&self) -> Arc<Cluster> {
+        Arc::clone(&self.cluster)
     }
 
-    let paused = AtomicBool::new(false);
-    let done_clients = AtomicU32::new(0);
+    fn completed(&self) -> u64 {
+        self.recorder.lock().unwrap().completed_count() as u64
+    }
 
-    // Membership bookkeeping the crash controller maintains: nodes
-    // currently down, every node that crashed at least once, and — per
-    // rejoined node — the history-clock watermark of its readmission
-    // (everything invoked after it is audited in full).
-    let mut down: Vec<NodeId> = Vec::new();
-    let mut ever_crashed: HashSet<NodeId> = HashSet::new();
-    let mut rejoined_at: HashMap<NodeId, u64> = HashMap::new();
-    let watermark = |recorder: &Mutex<HistoryRecorder>| {
-        let snap = recorder.lock().unwrap().snapshot();
-        snap.ops
-            .iter()
+    fn clock(&self) -> u64 {
+        let ops = self.history().ops;
+        ops.iter()
             .map(|o| o.ret.unwrap_or(o.call))
             .max()
             .unwrap_or(0)
-    };
-
-    std::thread::scope(|s| {
-        for c in 0..opts.clients {
-            let cluster = Arc::clone(&cluster);
-            let written = Arc::clone(&written);
-            let reads = Arc::clone(&reads);
-            let paused = &paused;
-            let done_clients = &done_clients;
-            let opts = &*opts;
-            let seed = schedule.seed;
-            s.spawn(move || {
-                let mut rng = Rng::new(seed ^ (0xC1E27 + u64::from(c) * 0x9E3779B9));
-                // Scope-model clients pin their coordinator: scopes are
-                // registered per (origin, sc), so the flush must go
-                // through the node that coordinated the scoped writes.
-                let pinned = NodeId(c % opts.nodes);
-                let scope = ScopeId(u32::from(c));
-                for i in 0..opts.ops_per_client {
-                    while paused.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    let node = if opts.model == PersistencyModel::Scope {
-                        pinned
-                    } else {
-                        NodeId(rng.below(u64::from(opts.nodes)) as u16)
-                    };
-                    let key = pick_key(&mut rng, opts.keys, opts.workload);
-                    let multi_ok =
-                        opts.placement.is_some() || opts.workload == Some(Scenario::Compose);
-                    match roll(&mut rng, opts.model, multi_ok, opts.workload) {
-                        Roll::Write => {
-                            let value = format!("s{seed:x}-c{c}-i{i}").into_bytes();
-                            let sc = (opts.model == PersistencyModel::Scope && rng.chance(2, 3))
-                                .then_some(scope);
-                            if let Ok(ts) = cluster.put_scoped(node, key, value.clone().into(), sc)
-                            {
-                                written.lock().unwrap().insert((key, ts), value);
-                            }
-                            // Errors (crashed coordinator, wedged write)
-                            // leave a pending op in the history.
-                        }
-                        Roll::MultiWrite => {
-                            // 2–3 adjacent keys: consecutive keys land on
-                            // consecutive shards, so the batch crosses a
-                            // shard boundary whenever the map has one.
-                            let count = (2 + u64::from(rng.chance(1, 2))).min(opts.keys);
-                            let batch: Vec<(Key, Vec<u8>)> = (0..count)
-                                .map(|j| {
-                                    let k = Key((key.0 + j) % opts.keys);
-                                    (k, format!("s{seed:x}-c{c}-i{i}-m{j}").into_bytes())
-                                })
-                                .collect();
-                            let sc = (opts.model == PersistencyModel::Scope && rng.chance(2, 3))
-                                .then_some(scope);
-                            let writes =
-                                batch.iter().map(|(k, v)| (*k, v.clone().into())).collect();
-                            if let Ok(tss) = cluster.put_multi(node, writes, sc) {
-                                let mut w = written.lock().unwrap();
-                                for ((k, v), ts) in batch.into_iter().zip(tss) {
-                                    w.insert((k, ts), v);
-                                }
-                            }
-                        }
-                        Roll::Read => {
-                            if let Ok((v, ts)) = cluster.get_versioned(node, key) {
-                                reads.lock().unwrap().push((key, ts, v.as_ref().to_vec()));
-                            }
-                        }
-                        Roll::Rmw => {
-                            // Read, then the dependent write: two primitive
-                            // history ops, so every oracle applies as-is.
-                            if let Ok((v, ts)) = cluster.get_versioned(node, key) {
-                                reads.lock().unwrap().push((key, ts, v.as_ref().to_vec()));
-                            }
-                            let value = format!("s{seed:x}-c{c}-i{i}-rmw").into_bytes();
-                            if let Ok(ts) = cluster.put(node, key, value.clone().into()) {
-                                written.lock().unwrap().insert((key, ts), value);
-                            }
-                        }
-                        Roll::Scan(len) => {
-                            // Each scan leg is an ordinary point read in
-                            // the history.
-                            for j in 0..len {
-                                let k = Key((key.0 + j) % opts.keys);
-                                if let Ok((v, ts)) = cluster.get_versioned(node, k) {
-                                    reads.lock().unwrap().push((k, ts, v.as_ref().to_vec()));
-                                }
-                            }
-                        }
-                        Roll::Flush => {
-                            let _ = cluster.persist_scope(pinned, scope);
-                        }
-                    }
-                }
-                done_clients.fetch_add(1, Ordering::Release);
-            });
-        }
-
-        // The driver doubles as the crash controller, keyed on protocol
-        // progress so schedules replay stably. Points run in order — a
-        // rolling restart when the windows chain across nodes.
-        let all_done = || done_clients.load(Ordering::Acquire) >= u32::from(opts.clients);
-        let completed = || recorder.lock().unwrap().completed_count() as u64;
-        for cp in &schedule.crashes {
-            let crash_node = NodeId(cp.node % opts.nodes);
-            while completed() < cp.after_ops && !all_done() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if down.contains(&crash_node) {
-                // Shrinking can drop an earlier rejoin and leave this
-                // point aimed at a node that is already down.
-                continue;
-            }
-            cluster.crash_node(crash_node);
-            down.push(crash_node);
-            ever_crashed.insert(crash_node);
-            if !cluster.await_failure_detection(crash_node, Duration::from_secs(5)) {
-                violations.push(format!("failure detection never reported {crash_node}"));
-            }
-            if let Some(after) = cp.recover_after_ops {
-                while completed() < after && !all_done() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                // Quiesce before the catch-up delta ships: rejoin
-                // replicates from the *donor's durable log*, so
-                // in-flight writes (and, under the background-persist
-                // models, persists still in the device) must land first
-                // or the rejoiner would serve genuinely stale data.
-                paused.store(true, Ordering::Release);
-                let deadline = Instant::now() + Duration::from_secs(2);
-                while recorder
-                    .lock()
-                    .unwrap()
-                    .snapshot()
-                    .ops
-                    .iter()
-                    .any(|o| !o.is_complete() && !down.contains(&o.node))
-                    && Instant::now() < deadline
-                {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                std::thread::sleep(Duration::from_millis(25));
-                // The facade picks the donor: an alive placement-group
-                // peer, or any alive node when fully replicated.
-                match cluster.rejoin_node(crash_node) {
-                    Ok(_epoch) => {
-                        down.retain(|&n| n != crash_node);
-                        rejoined_at.insert(crash_node, watermark(&recorder));
-                    }
-                    Err(e) => violations.push(format!("rejoin of {crash_node} failed: {e}")),
-                }
-                paused.store(false, Ordering::Release);
-            }
-        }
-    });
-
-    // Post-run: rejoin every node the schedule left down — the rejoin
-    // machinery is part of what's under test, and the probe pass below
-    // then audits the rejoiner too.
-    for node in std::mem::take(&mut down) {
-        std::thread::sleep(Duration::from_millis(25));
-        match cluster.rejoin_node(node) {
-            Ok(_epoch) => {
-                rejoined_at.insert(node, watermark(&recorder));
-            }
-            Err(e) => violations.push(format!("post-run rejoin of {node} failed: {e}")),
-        }
     }
 
-    // Probe pass: sequential reads of every key at every node, entering
-    // the same history (they are real client ops).
-    std::thread::sleep(Duration::from_millis(10));
-    for k in 0..opts.keys {
-        for n in 0..opts.nodes {
-            if let Ok((v, ts)) = cluster.get_versioned(NodeId(n), Key(k)) {
-                reads
-                    .lock()
-                    .unwrap()
-                    .push((Key(k), ts, v.as_ref().to_vec()));
-            }
-        }
+    fn crash(&mut self, node: NodeId) -> OpResult<()> {
+        self.cluster.crash_node(node);
+        let detected = self
+            .cluster
+            .await_failure_detection(node, Duration::from_secs(5));
+        detected
+            .then_some(())
+            .ok_or_else(|| format!("failure detection never reported {node}"))
     }
 
-    // Durable-log snapshots (crashed nodes included: NVM survives). The
-    // audit mode encodes each node's membership history: full-run nodes
-    // get the full containment oracles, rejoined nodes answer for
-    // everything invoked after their readmission, nodes that never made
-    // it back get the phantom oracle only.
-    let mut logs = Vec::new();
-    for n in 0..opts.nodes {
-        let node = NodeId(n);
-        let mode = if !ever_crashed.contains(&node) {
-            crate::persistency::AuditMode::Full
-        } else if let Some(&since) = rejoined_at.get(&node) {
-            crate::persistency::AuditMode::Rejoined { since }
-        } else {
-            crate::persistency::AuditMode::Excused
+    fn quiesce(&self, down: &[NodeId]) {
+        // Drain the ops pending at live nodes (bounded: a write wedged by
+        // chaos may never return).
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let pending = || {
+            let ops = self.history().ops;
+            ops.iter()
+                .any(|o| !o.is_complete() && !down.contains(&o.node))
         };
-        match cluster.durable_log(node) {
-            Ok(entries) => logs.push(NodeLog {
-                node,
-                entries: entries.iter().map(|e| (e.key, e.ts)).collect(),
-                mode,
-            }),
-            Err(e) => violations.push(format!("durable-log snapshot of {node} failed: {e}")),
+        while pending() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
-    let history = recorder.lock().unwrap().snapshot();
-    let ops = history.ops.iter().filter(|o| o.is_complete()).count();
-    violations.extend(check_everything(
-        opts.model,
-        &history,
-        &logs,
-        opts.placement.as_ref(),
-        &written.lock().unwrap(),
-        &reads.lock().unwrap(),
-    ));
-
-    match Arc::try_unwrap(cluster) {
-        Ok(cl) => cl.shutdown(),
-        Err(_) => unreachable!("all client threads joined"),
+    fn rejoin(&mut self, node: NodeId) -> OpResult<()> {
+        std::thread::sleep(Duration::from_millis(25));
+        // The facade picks the donor: an alive placement-group peer, or
+        // any alive node when fully replicated.
+        self.cluster
+            .rejoin_node(node)
+            .map(drop)
+            .map_err(|e| e.to_string())
     }
-    RunReport { violations, ops }
+
+    fn durable_log(&self, node: NodeId) -> OpResult<Vec<LogEntry>> {
+        self.cluster.durable_log(node).map_err(|e| e.to_string())
+    }
+
+    fn history(&self) -> History {
+        self.recorder.lock().unwrap().snapshot()
+    }
+
+    fn shutdown(self) {
+        match Arc::try_unwrap(self.cluster) {
+            Ok(cl) => cl.shutdown(),
+            Err(_) => unreachable!("every client handle is dropped"),
+        }
+    }
+}
+
+impl Client for Arc<Cluster> {
+    fn put(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        value: &[u8],
+        scope: Option<ScopeId>,
+    ) -> OpResult<Ts> {
+        Cluster::put_scoped(self, node, key, value.to_vec().into(), scope)
+            .map_err(|e| e.to_string())
+    }
+
+    fn put_multi(
+        &mut self,
+        node: NodeId,
+        writes: &[(Key, Vec<u8>)],
+        scope: Option<ScopeId>,
+    ) -> OpResult<Vec<Ts>> {
+        let writes = writes.iter().map(|(k, v)| (*k, v.clone().into())).collect();
+        Cluster::put_multi(self, node, writes, scope).map_err(|e| e.to_string())
+    }
+
+    fn get(&mut self, node: NodeId, key: Key) -> OpResult<(Vec<u8>, Ts)> {
+        let (v, ts) = Cluster::get_versioned(self, node, key).map_err(|e| e.to_string())?;
+        Ok((v.as_ref().to_vec(), ts))
+    }
+
+    fn persist_scope(&mut self, node: NodeId, scope: ScopeId) -> OpResult<()> {
+        Cluster::persist_scope(self, node, scope).map_err(|e| e.to_string())
+    }
 }
 
 /// One TCP-cluster run under `schedule`. Crash points kill the node
@@ -640,552 +813,306 @@ pub fn run_threaded(schedule: &Schedule, opts: &TortureOptions) -> RunReport {
 pub fn run_tcp(schedule: &Schedule, opts: &TortureOptions) -> RunReport {
     assert!(
         opts.placement.is_none(),
-        "sharded torture runs on the threaded runtime (the TCP driver's \
-         clients do not route)"
+        "sharded torture runs on the threaded runtime: TCP rejoin picks any \
+         live donor rather than a replica-group peer, and TCP clients have \
+         no put_multi"
     );
-    let n = opts.nodes as usize;
-    let mut harness = bind_tcp_cluster(n, schedule, opts);
-    let client_addrs = harness.client_addrs.clone();
-
-    let epoch = Instant::now();
-    let now_ns = move || u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let history: Arc<Mutex<Vec<crate::history::ClientOp>>> = Arc::new(Mutex::new(Vec::new()));
-    let written: WrittenMap = Arc::new(Mutex::new(HashMap::new()));
-    let reads: ReadLog = Arc::new(Mutex::new(Vec::new()));
-    let mut violations = Vec::new();
-
-    let record = |h: &Mutex<Vec<crate::history::ClientOp>>, op: crate::history::ClientOp| {
-        h.lock().unwrap().push(op);
-    };
-
-    // Warm-up, sequential and overlap-free.
-    {
-        let mut conn = TcpClient::connect(client_addrs[0]).expect("connect");
-        let mut conns: Vec<Option<TcpClient>> = Vec::new();
-        conns.resize_with(n, || None);
-        for k in 0..opts.keys {
-            let ni = (k % u64::from(opts.nodes)) as usize;
-            let conn = if ni == 0 {
-                &mut conn
-            } else {
-                conns[ni]
-                    .get_or_insert_with(|| TcpClient::connect(client_addrs[ni]).expect("connect"))
-            };
-            let value = format!("warmup-k{k}").into_bytes();
-            let call = now_ns();
-            match conn.put(Key(k), &value, None) {
-                Ok(ts) => {
-                    record(
-                        &history,
-                        write_op(NodeId(ni as u16), call, Some(now_ns()), Key(k), Some(ts)),
-                    );
-                    written.lock().unwrap().insert((Key(k), ts), value);
-                }
-                Err(e) => violations.push(format!("tcp warm-up write of k{k} failed: {e}")),
-            }
-        }
-    }
-
-    let paused = AtomicBool::new(false);
-    let done_clients = AtomicU32::new(0);
-    let mut ever_crashed: HashSet<usize> = HashSet::new();
-    let mut rejoined_at: HashMap<usize, u64> = HashMap::new();
-
-    std::thread::scope(|s| {
-        for c in 0..opts.clients {
-            let history = Arc::clone(&history);
-            let written = Arc::clone(&written);
-            let reads = Arc::clone(&reads);
-            let client_addrs = client_addrs.clone();
-            let paused = &paused;
-            let done_clients = &done_clients;
-            let opts = &*opts;
-            let seed = schedule.seed;
-            s.spawn(move || {
-                // Connections are lazy and re-established after an error:
-                // a crashed node kills its sockets, and the rejoined node
-                // listens on a fresh listener at the same address.
-                let mut conns: Vec<Option<TcpClient>> = client_addrs
-                    .iter()
-                    .map(|&a| TcpClient::connect(a).ok())
-                    .collect();
-                let mut rng = Rng::new(seed ^ (0x7C11 + u64::from(c) * 0x9E3779B9));
-                let pinned = usize::from(c % opts.nodes);
-                let scope = ScopeId(u32::from(c));
-                for i in 0..opts.ops_per_client {
-                    while paused.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    let ni = if opts.model == PersistencyModel::Scope {
-                        pinned
-                    } else {
-                        rng.below(u64::from(opts.nodes)) as usize
-                    };
-                    let key = pick_key(&mut rng, opts.keys, opts.workload);
-                    match roll(&mut rng, opts.model, false, opts.workload) {
-                        Roll::MultiWrite => unreachable!("TCP torture never batches"),
-                        Roll::Write => {
-                            let value = format!("s{seed:x}-c{c}-i{i}").into_bytes();
-                            let sc = (opts.model == PersistencyModel::Scope && rng.chance(2, 3))
-                                .then_some(scope);
-                            let call = now_ns();
-                            let Some(conn) = reconnect(&mut conns, &client_addrs, ni) else {
-                                continue; // node down, nothing invoked
-                            };
-                            match conn.put(key, &value, sc) {
-                                Ok(ts) => {
-                                    let mut op = write_op(
-                                        NodeId(ni as u16),
-                                        call,
-                                        Some(now_ns()),
-                                        key,
-                                        Some(ts),
-                                    );
-                                    op.scope = sc;
-                                    history.lock().unwrap().push(op);
-                                    written.lock().unwrap().insert((key, ts), value);
-                                }
-                                Err(_) => {
-                                    conns[ni] = None;
-                                    history.lock().unwrap().push(write_op(
-                                        NodeId(ni as u16),
-                                        call,
-                                        None,
-                                        key,
-                                        None,
-                                    ));
-                                }
-                            }
-                        }
-                        Roll::Read => {
-                            let call = now_ns();
-                            let Some(conn) = reconnect(&mut conns, &client_addrs, ni) else {
-                                continue;
-                            };
-                            match conn.get_versioned(key) {
-                                Ok((v, ts)) => {
-                                    history.lock().unwrap().push(read_op(
-                                        NodeId(ni as u16),
-                                        call,
-                                        now_ns(),
-                                        key,
-                                        ts,
-                                    ));
-                                    reads.lock().unwrap().push((key, ts, v));
-                                }
-                                Err(_) => conns[ni] = None,
-                            }
-                        }
-                        Roll::Rmw => {
-                            // Read then dependent write over the wire —
-                            // two primitive client ops in the history.
-                            let call = now_ns();
-                            {
-                                let Some(conn) = reconnect(&mut conns, &client_addrs, ni) else {
-                                    continue;
-                                };
-                                match conn.get_versioned(key) {
-                                    Ok((v, ts)) => {
-                                        history.lock().unwrap().push(read_op(
-                                            NodeId(ni as u16),
-                                            call,
-                                            now_ns(),
-                                            key,
-                                            ts,
-                                        ));
-                                        reads.lock().unwrap().push((key, ts, v));
-                                    }
-                                    Err(_) => {
-                                        conns[ni] = None;
-                                        continue;
-                                    }
-                                }
-                            }
-                            let value = format!("s{seed:x}-c{c}-i{i}-rmw").into_bytes();
-                            let call = now_ns();
-                            let Some(conn) = reconnect(&mut conns, &client_addrs, ni) else {
-                                continue;
-                            };
-                            match conn.put(key, &value, None) {
-                                Ok(ts) => {
-                                    history.lock().unwrap().push(write_op(
-                                        NodeId(ni as u16),
-                                        call,
-                                        Some(now_ns()),
-                                        key,
-                                        Some(ts),
-                                    ));
-                                    written.lock().unwrap().insert((key, ts), value);
-                                }
-                                Err(_) => {
-                                    conns[ni] = None;
-                                    history.lock().unwrap().push(write_op(
-                                        NodeId(ni as u16),
-                                        call,
-                                        None,
-                                        key,
-                                        None,
-                                    ));
-                                }
-                            }
-                        }
-                        Roll::Scan(len) => {
-                            for j in 0..len {
-                                let k = Key((key.0 + j) % opts.keys);
-                                let call = now_ns();
-                                let Some(conn) = reconnect(&mut conns, &client_addrs, ni) else {
-                                    break;
-                                };
-                                match conn.get_versioned(k) {
-                                    Ok((v, ts)) => {
-                                        history.lock().unwrap().push(read_op(
-                                            NodeId(ni as u16),
-                                            call,
-                                            now_ns(),
-                                            k,
-                                            ts,
-                                        ));
-                                        reads.lock().unwrap().push((k, ts, v));
-                                    }
-                                    Err(_) => {
-                                        conns[ni] = None;
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        Roll::Flush => {
-                            let call = now_ns();
-                            let Some(conn) = reconnect(&mut conns, &client_addrs, pinned) else {
-                                continue;
-                            };
-                            match conn.persist_scope(scope) {
-                                Ok(()) => {
-                                    history.lock().unwrap().push(crate::history::ClientOp {
-                                        node: NodeId(pinned as u16),
-                                        req: call,
-                                        kind: OpKind::PersistScope,
-                                        key: None,
-                                        scope: Some(scope),
-                                        call,
-                                        ret: Some(now_ns()),
-                                        ts: None,
-                                        obsolete: false,
-                                    });
-                                }
-                                Err(_) => conns[pinned] = None,
-                            }
-                        }
-                    }
-                }
-                done_clients.fetch_add(1, Ordering::Release);
-            });
-        }
-
-        // Crash controller: same progress-keyed points as the threaded
-        // driver, realized as real process-level restarts.
-        let all_done = || done_clients.load(Ordering::Acquire) >= u32::from(opts.clients);
-        let completed = || {
-            history
-                .lock()
-                .unwrap()
-                .iter()
-                .filter(|o| o.ret.is_some())
-                .count() as u64
-        };
-        for cp in &schedule.crashes {
-            let ni = usize::from(cp.node % opts.nodes);
-            while completed() < cp.after_ops && !all_done() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let Some(node) = harness.nodes[ni].take() else {
-                continue; // already down (shrinking dropped its rejoin)
-            };
-            node.shutdown();
-            ever_crashed.insert(ni);
-            // The TCP runtime has no in-band failure detector: the
-            // control plane alerts the survivors, which shrink their
-            // quorums and complete any write wedged on the dead peer.
-            for (j, peer) in harness.nodes.iter().enumerate() {
-                if peer.is_some() {
-                    if let Ok(mut c) = TcpClient::connect(client_addrs[j]) {
-                        let _ = c.set_peer_status(NodeId(ni as u16), false);
-                    }
-                }
-            }
-            if let Some(after) = cp.recover_after_ops {
-                while completed() < after && !all_done() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                // Quiesce: catch-up ships the donor's *durable* log, so
-                // in-flight ops and background persists must land first.
-                paused.store(true, Ordering::Release);
-                std::thread::sleep(Duration::from_millis(50));
-                if restart_tcp_node(&mut harness, ni, schedule, opts, &mut violations) {
-                    rejoined_at.insert(ni, now_ns());
-                }
-                paused.store(false, Ordering::Release);
-            }
-        }
-    });
-
-    // Post-run: rejoin every node the schedule left down, so the probe
-    // pass and durable dumps below audit the rejoiner too.
-    for ni in 0..n {
-        if harness.nodes[ni].is_none()
-            && restart_tcp_node(&mut harness, ni, schedule, opts, &mut violations)
-        {
-            rejoined_at.insert(ni, now_ns());
-        }
-    }
-
-    // Probe pass + durable dumps.
-    let mut logs = Vec::new();
-    for (ni, &addr) in client_addrs.iter().enumerate() {
-        let mode = if !ever_crashed.contains(&ni) {
-            crate::persistency::AuditMode::Full
-        } else if let Some(&since) = rejoined_at.get(&ni) {
-            crate::persistency::AuditMode::Rejoined { since }
-        } else {
-            crate::persistency::AuditMode::Excused
-        };
-        match TcpClient::connect(addr) {
-            Ok(mut conn) => {
-                for k in 0..opts.keys {
-                    let call = now_ns();
-                    if let Ok((v, ts)) = conn.get_versioned(Key(k)) {
-                        record(
-                            &history,
-                            read_op(NodeId(ni as u16), call, now_ns(), Key(k), ts),
-                        );
-                        reads.lock().unwrap().push((Key(k), ts, v));
-                    }
-                }
-                match conn.dump_durable() {
-                    Ok(entries) => logs.push(NodeLog {
-                        node: NodeId(ni as u16),
-                        entries: entries.iter().map(|e| (e.key, e.ts)).collect(),
-                        mode,
-                    }),
-                    Err(e) => violations.push(format!("tcp durable dump of n{ni} failed: {e}")),
-                }
-            }
-            Err(e) => violations.push(format!("tcp probe connect to n{ni} failed: {e}")),
-        }
-    }
-
-    let history = History {
-        ops: std::mem::take(&mut *history.lock().unwrap()),
-    };
-    let ops = history.ops.iter().filter(|o| o.is_complete()).count();
-    violations.extend(check_everything(
-        opts.model,
-        &history,
-        &logs,
-        None,
-        &written.lock().unwrap(),
-        &reads.lock().unwrap(),
-    ));
-
-    for node in harness.nodes.into_iter().flatten() {
-        node.shutdown();
-    }
-    for path in harness.log_paths.into_iter().flatten() {
-        let _ = std::fs::remove_file(path);
-    }
-    RunReport { violations, ops }
+    run(TcpHarness::bind(schedule, opts), schedule, opts)
 }
 
-/// The client's connection to node `ni`, re-established on demand — a
-/// crashed node kills its sockets, and a rejoined node listens on a
-/// fresh listener at the same address. `None` while the node is down.
-fn reconnect<'a>(
-    conns: &'a mut [Option<TcpClient>],
-    addrs: &[std::net::SocketAddr],
-    ni: usize,
-) -> Option<&'a mut TcpClient> {
-    if conns[ni].is_none() {
-        conns[ni] = TcpClient::connect(addrs[ni]).ok();
-    }
-    conns[ni].as_mut()
-}
-
-fn write_op(
-    node: NodeId,
-    call: u64,
-    ret: Option<u64>,
-    key: Key,
-    ts: Option<Ts>,
-) -> crate::history::ClientOp {
-    crate::history::ClientOp {
-        node,
-        req: call,
-        kind: OpKind::Write,
-        key: Some(key),
-        scope: None,
-        call,
-        ret,
-        ts,
-        obsolete: false,
-    }
-}
-
-fn read_op(node: NodeId, call: u64, ret: u64, key: Key, ts: Ts) -> crate::history::ClientOp {
-    crate::history::ClientOp {
-        node,
-        req: call,
-        kind: OpKind::Read,
-        key: Some(key),
-        scope: None,
-        call,
-        ret: Some(ret),
-        ts: Some(ts),
-        obsolete: false,
-    }
+/// Nanoseconds since `epoch`: the TCP history clock.
+fn now_ns(epoch: Instant) -> u64 {
+    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A live TCP torture cluster: node handles (`None` while crashed), the
-/// fixed peer/client address plan, and the per-node on-disk NVM logs
-/// (present only when the schedule carries crash points).
+/// client address plan, the per-node on-disk NVM logs (present only when
+/// the schedule carries crash points), the config every node is
+/// (re-)served from, and the client-side history with its clock epoch.
 struct TcpHarness {
     nodes: Vec<Option<TcpNode>>,
-    peer_addrs: Vec<std::net::SocketAddr>,
-    client_addrs: Vec<std::net::SocketAddr>,
-    log_paths: Vec<Option<std::path::PathBuf>>,
+    client_addrs: Vec<SocketAddr>,
+    log_paths: Vec<Option<PathBuf>>,
+    template: TcpNodeConfig,
+    history: Arc<Mutex<Vec<ClientOp>>>,
+    epoch: Instant,
 }
 
-/// The node config for (re-)serving node `i` of the harness.
-fn tcp_node_config(
-    harness: &TcpHarness,
-    i: usize,
-    schedule: &Schedule,
-    opts: &TortureOptions,
-    rejoin_donor: Option<std::net::SocketAddr>,
-) -> TcpNodeConfig {
-    TcpNodeConfig {
-        node: NodeId(i as u16),
-        model: DdpModel::lin(opts.model),
-        peers: harness.peer_addrs.clone(),
-        client_addr: harness.client_addrs[i],
-        persist_ns_per_kb: 1295,
-        batching: false,
-        broadcast: false,
-        trace_out: None,
-        metrics_out: None,
-        metrics_interval: std::time::Duration::from_secs(1),
-        chaos: (!schedule.injections.is_empty()).then(|| schedule.spec()),
-        fault: opts.fault,
-        placement: None,
-        nvm_log: harness.log_paths[i].clone(),
-        rejoin_donor,
-    }
-}
-
-/// Brings up an in-process TCP cluster on fresh ports. All probe
-/// listeners are held simultaneously before any port is reused (a
-/// sequentially probed port can be handed right back by the kernel), and
-/// the whole bind phase retries on a collision — a port released by a
-/// probe can still be grabbed by another process between probe and bind.
-fn bind_tcp_cluster(n: usize, schedule: &Schedule, opts: &TortureOptions) -> TcpHarness {
-    // Crash schedules need every node's NVM to survive its process: an
-    // on-disk log per node, cleaned of any stale content from a previous
-    // (possibly aborted) run of the same seed.
-    let log_paths: Vec<Option<std::path::PathBuf>> = (0..n)
-        .map(|i| {
-            (!schedule.crashes.is_empty()).then(|| {
-                let path = std::env::temp_dir().join(format!(
-                    "minos-torture-{}-{:x}-n{i}.nvmlog",
-                    std::process::id(),
-                    schedule.seed,
-                ));
-                let _ = std::fs::remove_file(&path);
-                path
+impl TcpHarness {
+    /// Brings up an in-process TCP cluster on fresh ports. All probe
+    /// listeners are held simultaneously before any port is reused (a
+    /// sequentially probed port can be handed right back by the kernel),
+    /// and the whole bind phase retries on a collision — a port released
+    /// by a probe can still be grabbed by another process between probe
+    /// and bind.
+    fn bind(schedule: &Schedule, opts: &TortureOptions) -> TcpHarness {
+        let n = usize::from(opts.nodes);
+        // Crash schedules need every node's NVM to survive its process:
+        // an on-disk log per node, cleaned of any stale content from a
+        // previous (possibly aborted) run of the same seed.
+        let log_paths: Vec<Option<PathBuf>> = (0..n)
+            .map(|i| {
+                (!schedule.crashes.is_empty()).then(|| {
+                    let path = std::env::temp_dir().join(format!(
+                        "minos-torture-{}-{:x}-n{i}.nvmlog",
+                        std::process::id(),
+                        schedule.seed,
+                    ));
+                    let _ = std::fs::remove_file(&path);
+                    path
+                })
             })
-        })
-        .collect();
-    'attempt: for _ in 0..16 {
-        let probes: Vec<std::net::TcpListener> = (0..2 * n)
-            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("probe port"))
             .collect();
-        let addrs: Vec<std::net::SocketAddr> =
-            probes.iter().map(|l| l.local_addr().unwrap()).collect();
-        drop(probes);
-        let (peers, client_addrs) = addrs.split_at(n);
-        let mut harness = TcpHarness {
-            nodes: Vec::with_capacity(n),
-            peer_addrs: peers.to_vec(),
-            client_addrs: client_addrs.to_vec(),
-            log_paths: log_paths.clone(),
-        };
-        for i in 0..n {
-            match TcpNode::serve(tcp_node_config(&harness, i, schedule, opts, None)) {
-                Ok(node) => harness.nodes.push(Some(node)),
-                Err(_) => {
-                    for node in harness.nodes.into_iter().flatten() {
-                        node.shutdown();
+        'attempt: for _ in 0..16 {
+            let probes: Vec<std::net::TcpListener> = (0..2 * n)
+                .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("probe port"))
+                .collect();
+            let addrs: Vec<SocketAddr> = probes.iter().map(|l| l.local_addr().unwrap()).collect();
+            drop(probes);
+            let (peers, client_addrs) = addrs.split_at(n);
+            let mut harness = TcpHarness {
+                nodes: Vec::with_capacity(n),
+                client_addrs: client_addrs.to_vec(),
+                log_paths: log_paths.clone(),
+                template: TcpNodeConfig {
+                    node: NodeId(0),
+                    model: DdpModel::lin(opts.model),
+                    peers: peers.to_vec(),
+                    client_addr: client_addrs[0],
+                    persist_ns_per_kb: 1295,
+                    batching: false,
+                    broadcast: false,
+                    trace_out: None,
+                    metrics_out: None,
+                    metrics_interval: Duration::from_secs(1),
+                    chaos: (!schedule.injections.is_empty()).then(|| schedule.spec()),
+                    fault: opts.fault,
+                    placement: None,
+                    nvm_log: None,
+                    rejoin_donor: None,
+                },
+                history: Arc::default(),
+                epoch: Instant::now(),
+            };
+            for i in 0..n {
+                match TcpNode::serve(harness.config(i, None)) {
+                    Ok(node) => harness.nodes.push(Some(node)),
+                    Err(_) => {
+                        harness.shutdown();
+                        continue 'attempt;
                     }
-                    continue 'attempt;
+                }
+            }
+            return harness;
+        }
+        panic!("could not bind a TCP cluster after 16 attempts");
+    }
+
+    /// The config for (re-)serving node `i`.
+    fn config(&self, i: usize, rejoin_donor: Option<SocketAddr>) -> TcpNodeConfig {
+        TcpNodeConfig {
+            node: NodeId(i as u16),
+            client_addr: self.client_addrs[i],
+            nvm_log: self.log_paths[i].clone(),
+            rejoin_donor,
+            ..self.template.clone()
+        }
+    }
+
+    /// Sends `set_peer_status(peer, up)` to every live node but `peer`.
+    fn announce(&self, peer: NodeId, up: bool) {
+        for (j, &addr) in self.client_addrs.iter().enumerate() {
+            if j != usize::from(peer.0) && self.nodes[j].is_some() {
+                if let Ok(mut c) = TcpClient::connect(addr) {
+                    let _ = c.set_peer_status(peer, up);
                 }
             }
         }
-        return harness;
     }
-    panic!("could not bind a TCP cluster after 16 attempts");
 }
 
-/// Re-serves crashed node `ni` on its original addresses: own-log replay
-/// from the surviving NVM file, donor catch-up from the first live peer,
-/// then `set_peer_status` notifications so every survivor re-admits it
-/// (and the rejoiner learns which peers are still down). Returns false
-/// (with a violation recorded) if the node could not come back.
-fn restart_tcp_node(
-    harness: &mut TcpHarness,
-    ni: usize,
-    schedule: &Schedule,
-    opts: &TortureOptions,
-    violations: &mut Vec<String>,
-) -> bool {
-    let donor = harness
-        .nodes
-        .iter()
-        .position(Option::is_some)
-        .map(|j| harness.client_addrs[j]);
-    let cfg = tcp_node_config(harness, ni, schedule, opts, donor);
-    // The old listener's port is released by shutdown, but give the
-    // kernel a few tries in case another process squats it briefly.
-    let mut served = None;
-    for _ in 0..10 {
-        match TcpNode::serve(cfg.clone()) {
-            Ok(node) => {
-                served = Some(node);
-                break;
+impl Runtime for TcpHarness {
+    type Client = TcpTortureClient;
+    const MULTI_WRITES: bool = false;
+
+    fn client(&self) -> TcpTortureClient {
+        TcpTortureClient {
+            addrs: self.client_addrs.clone(),
+            conns: self.client_addrs.iter().map(|_| None).collect(),
+            history: Arc::clone(&self.history),
+            epoch: self.epoch,
+        }
+    }
+
+    fn completed(&self) -> u64 {
+        let history = self.history.lock().unwrap();
+        history.iter().filter(|o| o.is_complete()).count() as u64
+    }
+
+    fn clock(&self) -> u64 {
+        now_ns(self.epoch)
+    }
+
+    fn crash(&mut self, node: NodeId) -> OpResult<()> {
+        if let Some(handle) = self.nodes[usize::from(node.0)].take() {
+            handle.shutdown();
+        }
+        // The TCP runtime has no in-band failure detector: the control
+        // plane alerts the survivors, which shrink their quorums and
+        // complete any write wedged on the dead peer.
+        self.announce(node, false);
+        Ok(())
+    }
+
+    fn quiesce(&self, _down: &[NodeId]) {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    /// Re-serves `node` on its original addresses: own-log replay from
+    /// the surviving NVM file, donor catch-up from the first live node,
+    /// then `set_peer_status` notifications so every survivor re-admits
+    /// it (dropping any cached connection to its dead pre-crash sockets)
+    /// and the rejoiner learns which peers are still down.
+    fn rejoin(&mut self, node: NodeId) -> OpResult<()> {
+        let ni = usize::from(node.0);
+        let donor = self
+            .nodes
+            .iter()
+            .position(Option::is_some)
+            .map(|j| self.client_addrs[j]);
+        let cfg = self.config(ni, donor);
+        // The old listener's port is released by shutdown, but give the
+        // kernel a few tries in case another process squats it briefly.
+        let served = (0..10).find_map(|_| {
+            let served = TcpNode::serve(cfg.clone()).ok();
+            if served.is_none() {
+                std::thread::sleep(Duration::from_millis(10));
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    let Some(node) = served else {
-        violations.push(format!("tcp rejoin of n{ni} could not rebind its ports"));
-        return false;
-    };
-    harness.nodes[ni] = Some(node);
-    // Survivors re-admit the rejoiner (dropping any cached connection to
-    // its dead pre-crash sockets); the rejoiner learns who is down.
-    for j in 0..harness.nodes.len() {
-        if j == ni || harness.nodes[j].is_none() {
-            continue;
-        }
-        if let Ok(mut c) = TcpClient::connect(harness.client_addrs[j]) {
-            let _ = c.set_peer_status(NodeId(ni as u16), true);
-        }
-    }
-    if let Ok(mut c) = TcpClient::connect(harness.client_addrs[ni]) {
-        for j in 0..harness.nodes.len() {
-            if harness.nodes[j].is_none() {
-                let _ = c.set_peer_status(NodeId(j as u16), false);
+            served
+        });
+        self.nodes[ni] = Some(served.ok_or("the node could not rebind its ports")?);
+        self.announce(node, true);
+        if let Ok(mut c) = TcpClient::connect(self.client_addrs[ni]) {
+            for (j, peer) in self.nodes.iter().enumerate() {
+                if peer.is_none() {
+                    let _ = c.set_peer_status(NodeId(j as u16), false);
+                }
             }
         }
+        Ok(())
     }
-    true
+
+    fn durable_log(&self, node: NodeId) -> OpResult<Vec<LogEntry>> {
+        TcpClient::connect(self.client_addrs[usize::from(node.0)])
+            .and_then(|mut c| c.dump_durable())
+            .map_err(|e| e.to_string())
+    }
+
+    fn history(&self) -> History {
+        History {
+            ops: self.history.lock().unwrap().clone(),
+        }
+    }
+
+    fn shutdown(self) {
+        for node in self.nodes.into_iter().flatten() {
+            node.shutdown();
+        }
+        for path in self.log_paths.into_iter().flatten() {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// A TCP client thread's handle: lazy per-node connections, dropped on
+/// error (a crashed node kills its sockets, and a rejoined node listens
+/// on a fresh listener at the same address), and the shared client-side
+/// history.
+struct TcpTortureClient {
+    addrs: Vec<SocketAddr>,
+    conns: Vec<Option<TcpClient>>,
+    history: Arc<Mutex<Vec<ClientOp>>>,
+    epoch: Instant,
+}
+
+impl TcpTortureClient {
+    /// Runs one blocking call at `node` and records it in the history.
+    /// A node that refuses the connection is down: nothing was invoked,
+    /// nothing is recorded. `op` returns the result plus the timestamp
+    /// the op carried. A failed call drops the connection; a failed
+    /// write stays in the history as pending (its effects may or may not
+    /// have landed), while a failed read or flush has nothing to audit.
+    fn call<T>(
+        &mut self,
+        node: NodeId,
+        kind: OpKind,
+        key: Option<Key>,
+        scope: Option<ScopeId>,
+        op: impl FnOnce(&mut TcpClient) -> std::io::Result<(T, Option<Ts>)>,
+    ) -> OpResult<T> {
+        let ni = usize::from(node.0);
+        if self.conns[ni].is_none() {
+            self.conns[ni] = Some(TcpClient::connect(self.addrs[ni]).map_err(|e| e.to_string())?);
+        }
+        let call = now_ns(self.epoch);
+        let result = op(self.conns[ni].as_mut().expect("connected above"));
+        let (ret, ts) = match &result {
+            Ok((_, ts)) => (Some(now_ns(self.epoch)), *ts),
+            Err(_) => {
+                self.conns[ni] = None;
+                (None, None)
+            }
+        };
+        if ret.is_some() || kind == OpKind::Write {
+            self.history.lock().unwrap().push(ClientOp {
+                node,
+                req: call,
+                kind,
+                key,
+                scope,
+                call,
+                ret,
+                ts,
+                obsolete: false,
+            });
+        }
+        result.map(|(v, _)| v).map_err(|e| e.to_string())
+    }
+}
+
+impl Client for TcpTortureClient {
+    fn put(
+        &mut self,
+        node: NodeId,
+        key: Key,
+        value: &[u8],
+        scope: Option<ScopeId>,
+    ) -> OpResult<Ts> {
+        self.call(node, OpKind::Write, Some(key), scope, |c| {
+            c.put(key, value, scope).map(|ts| (ts, Some(ts)))
+        })
+    }
+
+    fn put_multi(
+        &mut self,
+        _node: NodeId,
+        _writes: &[(Key, Vec<u8>)],
+        _scope: Option<ScopeId>,
+    ) -> OpResult<Vec<Ts>> {
+        unreachable!("TCP clients have no put_multi (MULTI_WRITES is false)")
+    }
+
+    fn get(&mut self, node: NodeId, key: Key) -> OpResult<(Vec<u8>, Ts)> {
+        self.call(node, OpKind::Read, Some(key), None, |c| {
+            c.get_versioned(key).map(|(v, ts)| ((v, ts), Some(ts)))
+        })
+    }
+
+    fn persist_scope(&mut self, node: NodeId, scope: ScopeId) -> OpResult<()> {
+        self.call(node, OpKind::PersistScope, None, Some(scope), |c| {
+            c.persist_scope(scope).map(|()| ((), None))
+        })
+    }
 }
 
 /// Runs `count` seeds starting at `start`, stopping (and shrinking) on
@@ -1195,14 +1122,13 @@ pub fn torture<R>(
     start: u64,
     count: u64,
     opts: &TortureOptions,
-    tcp: bool,
     runner: R,
     verbose: bool,
 ) -> TortureResult
 where
     R: Fn(&Schedule, &TortureOptions) -> RunReport,
 {
-    let sched_opts = opts.schedule_options(tcp);
+    let sched_opts = opts.schedule_options();
     let mut ops_checked = 0;
     for i in 0..count {
         let seed = start.wrapping_add(i);

@@ -161,7 +161,7 @@ fn threaded_torture_chaos_seeds_run_clean() {
         let mut opts = TortureOptions::new(model);
         opts.clients = 2;
         opts.ops_per_client = 8;
-        let result = torture(1, 3, &opts, false, run_threaded, false);
+        let result = torture(1, 3, &opts, run_threaded, false);
         assert!(
             result.failure.is_none(),
             "{model:?}: {:?}",
@@ -182,7 +182,7 @@ fn sharded_threaded_torture_seeds_run_clean() {
         opts.clients = 2;
         opts.ops_per_client = 8;
         let opts = opts.sharded(2, 2);
-        let result = torture(1, 3, &opts, false, run_threaded, false);
+        let result = torture(1, 3, &opts, run_threaded, false);
         assert!(
             result.failure.is_none(),
             "{model:?}: {:?}",
@@ -197,7 +197,7 @@ fn threaded_torture_scope_flushes_run_clean() {
     let mut opts = TortureOptions::new(PersistencyModel::Scope);
     opts.clients = 2;
     opts.ops_per_client = 8;
-    let result = torture(1, 2, &opts, false, run_threaded, false);
+    let result = torture(1, 2, &opts, run_threaded, false);
     assert!(
         result.failure.is_none(),
         "{:?}",
@@ -210,7 +210,7 @@ fn tcp_torture_seed_runs_clean() {
     let mut opts = TortureOptions::new(PersistencyModel::Strict);
     opts.clients = 2;
     opts.ops_per_client = 6;
-    let result = torture(1, 1, &opts, true, run_tcp, false);
+    let result = torture(1, 1, &opts, run_tcp, false);
     assert!(
         result.failure.is_none(),
         "{:?}",
@@ -218,27 +218,52 @@ fn tcp_torture_seed_runs_clean() {
     );
 }
 
+#[test]
+fn tcp_torture_crash_rejoin_seed_runs_clean() {
+    // Seed 3 draws a crash point, so this run kills a node process,
+    // re-serves it from its on-disk NVM log and audits the rejoiner.
+    let mut opts = TortureOptions::new(PersistencyModel::Strict);
+    opts.clients = 2;
+    opts.ops_per_client = 6;
+    let schedule = minos_check::schedule::generate(3, &opts.schedule_options());
+    assert!(!schedule.crashes.is_empty(), "seed 3 lost its crash point");
+    let report = run_tcp(&schedule, &opts);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert!(report.ops > 0);
+}
+
 /// The mutation smoke: with a protocol fault armed, the pipeline must
-/// find a violating schedule and shrink it. This is the test of the
-/// checkers themselves — a checker that cannot see a dropped persist is
-/// vacuous.
+/// find a violating schedule and shrink it, on both runtimes. This is
+/// the test of the checkers themselves — a checker that cannot see a
+/// dropped persist is vacuous.
 #[cfg(feature = "fault-injection")]
 #[test]
 fn armed_fault_is_found_and_shrunk() {
+    use minos_check::RunReport;
     use minos_types::{FaultKind, FaultSpec};
-    for (kind, node) in [(FaultKind::SkipInv, 0), (FaultKind::PhantomPersist, 1)] {
-        let mut opts = TortureOptions::new(PersistencyModel::Synchronous);
-        opts.clients = 2;
-        opts.ops_per_client = 8;
-        opts.fault = Some(FaultSpec { node, kind });
-        let result = torture(1, 100, &opts, false, run_threaded, false);
-        let failure = result
-            .failure
-            .unwrap_or_else(|| panic!("{kind:?}@{node}: no violation in 100 seeds"));
-        assert!(!failure.violations.is_empty());
-        // The faults fire during the sequential warm-up, so no chaos is
-        // needed to expose them: shrinking must reach the empty schedule.
-        assert_eq!(failure.shrunk.weight(), 0, "{:?}", failure.shrunk);
+    type Runner = fn(&Schedule, &TortureOptions) -> RunReport;
+    let runners: [(&str, Runner, u64); 2] = [("threaded", run_threaded, 100), ("tcp", run_tcp, 20)];
+    for (runtime, runner, seeds) in runners {
+        for (kind, node) in [(FaultKind::SkipInv, 0), (FaultKind::PhantomPersist, 1)] {
+            let mut opts = TortureOptions::new(PersistencyModel::Synchronous);
+            opts.clients = 2;
+            opts.ops_per_client = 8;
+            opts.fault = Some(FaultSpec { node, kind });
+            let result = torture(1, seeds, &opts, runner, false);
+            let failure = result.failure.unwrap_or_else(|| {
+                panic!("{runtime} {kind:?}@{node}: no violation in {seeds} seeds")
+            });
+            assert!(!failure.violations.is_empty());
+            // The faults fire during the sequential warm-up, so no chaos
+            // is needed to expose them: shrinking must reach the empty
+            // schedule.
+            assert_eq!(
+                failure.shrunk.weight(),
+                0,
+                "{runtime}: {:?}",
+                failure.shrunk
+            );
+        }
     }
 }
 
@@ -247,7 +272,7 @@ fn shrunk_schedules_replay_deterministically() {
     // A schedule's spec() must be a pure function of its fields: generate
     // the same seed twice and the injections must match.
     let opts = TortureOptions::new(PersistencyModel::Synchronous);
-    let sched_opts = opts.schedule_options(false);
+    let sched_opts = opts.schedule_options();
     let a = minos_check::schedule::generate(42, &sched_opts);
     let b = minos_check::schedule::generate(42, &sched_opts);
     assert_eq!(a.injections, b.injections);
