@@ -20,7 +20,9 @@
 #                      oracles. The nightly block (500 seeds per model
 #                      per runtime) is documented in EXPERIMENTS.md
 #                      §Verification.
-#   ./ci.sh --bench  — additionally runs the perfbench package tests and
+#   ./ci.sh --bench  — additionally runs the perfbench package tests, a
+#                      2 s des-ycsb-a perfbench smoke that must report
+#                      "correct": true with 0 failed calls, and
 #                      the minos-bench quick sweep,
 #                      writes BENCH_results.json, and reruns the sweep
 #                      with --compare against the file it just wrote.
@@ -162,6 +164,20 @@ fi
 if [ "$BENCH" -eq 1 ]; then
     echo "==> bench: perfbench package tests"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+    echo "==> bench: perfbench des-ycsb-a smoke (run, not only build)"
+    # A short run of one benchmark workload. The result line must say the
+    # run was correct (for the DES: the fingerprint gate held) with no
+    # failed call; a build that passes but no longer runs clean fails here.
+    SMOKE=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload des-ycsb-a --seconds 2 --trace 0 | tail -n 1)
+    python3 - "$SMOKE" <<'PYEOF'
+import json, sys
+r = json.loads(sys.argv[1])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit(f"des-ycsb-a smoke: correct={r.get('correct')} failed={r.get('failed')}")
+print(f"    des-ycsb-a: correct, {r['attempted']} calls, 0 failed")
+PYEOF
 
     echo "==> bench: build minos-bench"
     cargo build --release -p minos-bench

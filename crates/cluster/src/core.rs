@@ -13,8 +13,8 @@
 use crate::cluster::Outcome;
 use minos_core::obs::{GaugeKind, SharedGauges, Tracer};
 use minos_core::runtime::{
-    ActionSink, BatchPolicy, Batched, ChaosNet, ChaosState, DispatchStats, Dispatcher,
-    FrameTransport, Handler, TransportCounters,
+    observe_lock_table, ActionSink, BatchPolicy, Batched, ChaosNet, ChaosState, DispatchStats,
+    Dispatcher, FrameTransport, Handler, TransportCounters,
 };
 use minos_core::{Action, DelayClass, Event, NodeEngine, ReqId};
 use minos_kv::DurableState;
@@ -260,25 +260,18 @@ impl<IO: NodeIo> NodeCore<IO> {
     /// Samples the level gauges: in-flight client ops, records holding
     /// locks and the inbox depth `inbox`. Sharded nodes report in-flight
     /// ops and locks per hosted shard too (a hosted shard with no locks
-    /// samples an explicit zero). The lock scan is O(records), so
-    /// runtimes pace this off the per-event path.
+    /// samples an explicit zero). Each sample takes the shared gauge
+    /// lock and walks the in-flight table, so runtimes pace this off the
+    /// per-event path.
     pub(crate) fn sample_gauges(&self, inbox: usize) {
         let node = u32::from(self.node.0);
         let mut g = self.gauges.lock().expect("gauge lock");
         g.observe(GaugeKind::InflightTxs, node, self.inflight.len() as u64);
         g.observe(GaugeKind::HostSendQueue, node, inbox as u64);
-        let Some(map) = self.cfg.placement.as_ref() else {
-            g.observe(
-                GaugeKind::LockTableSize,
-                node,
-                self.engine.locked_records() as u64,
-            );
+        let map = self.cfg.placement.as_ref();
+        observe_lock_table(&self.engine, &mut g, self.node, map);
+        if map.is_none() {
             return;
-        };
-        let locked = self.engine.locked_records_by_shard(map);
-        for sh in map.shards_on(self.node) {
-            let v = locked.get(&sh.0).copied().unwrap_or(0);
-            g.observe_shard(GaugeKind::LockTableSize, node, sh.0, v as u64);
         }
         let mut by_shard: HashMap<u32, u64> = HashMap::new();
         for &(sh, _) in self.inflight.values() {

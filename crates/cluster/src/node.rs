@@ -145,8 +145,10 @@ struct NodeLoop {
     dispatches: u64,
 }
 
-/// Sample the level gauges once per this many dispatches: the lock-table
-/// scan is O(records), so it stays off the per-event hot path.
+/// Sample the level gauges once per this many dispatches: each sample
+/// takes the gauge lock every node shares and records several series, so
+/// it stays off the per-event hot path (the lock-table read itself is
+/// O(1)). Changing the pace changes every recorded gauge series.
 const GAUGE_SAMPLE_DISPATCHES: u64 = 32;
 
 /// The threaded runtime's [`NodeIo`]: frames and self-addressed events

@@ -429,11 +429,11 @@ impl NodeEngine {
     /// whether the lock is now owned by this write.
     pub(crate) fn acquire_rd_lock(&mut self, key: Key, ts: Ts) -> bool {
         let snatch = self.snatch_enabled;
-        let meta = &mut self.store.record_mut(key).meta;
+        let mut rec = self.store.record_mut(key);
         let got = if snatch {
-            meta.snatch_rd_lock(ts)
+            rec.meta.snatch_rd_lock(ts)
         } else {
-            meta.try_rd_lock(ts)
+            rec.meta.try_rd_lock(ts)
         };
         if got {
             self.stats.rd_lock_snatches += 1;
@@ -508,7 +508,7 @@ impl NodeEngine {
     /// `glb_durableTS` all advance to `ts` and no protocol messages flow.
     /// Older-than-current entries are ignored (obsoleteness check).
     pub fn install_recovered(&mut self, key: Key, ts: Ts, value: Value) {
-        let rec = self.store.record_mut(key);
+        let mut rec = self.store.record_mut(key);
         if ts >= rec.meta.volatile_ts {
             rec.value = value;
             rec.meta.raise_volatile(ts);
@@ -539,7 +539,6 @@ impl NodeEngine {
     /// Records currently holding an RDLock or WRLock (the lock-table
     /// resource gauge).
     #[must_use]
-    #[inline]
     pub fn locked_records(&self) -> usize {
         self.store.locked_records()
     }

@@ -60,4 +60,4 @@ pub use event::{Action, DelayClass, Event, MetaOp, ReqId};
 pub use offload::{OAction, OCoordTx, OEvent, OFollTx, ONodeEngine, PcieMsg, Side};
 pub use scope::{PersistTx, ScopeState, ScopeTable};
 pub use stats::EngineStats;
-pub use store::Store;
+pub use store::{RecordMut, Store};

@@ -22,7 +22,9 @@ use crate::event::ReqId;
 use crate::obs::{GaugeKind, GaugeSet, SharedSink, TraceClock, Tracer, GAUGE_NODE_ALL};
 use crate::offload::ONodeEngine;
 pub use crate::runtime::Completion;
-use crate::runtime::{Counters, Dispatcher, Immediate, Protocol, ShardRouter, Transport};
+use crate::runtime::{
+    observe_lock_table, Counters, Dispatcher, Immediate, Protocol, ShardRouter, Transport,
+};
 use minos_types::wire::TraceCtx;
 use minos_types::{DdpModel, Key, MembershipView, Message, NodeId, ScopeId, ShardMap, Ts, Value};
 use std::collections::{BTreeMap, VecDeque};
@@ -121,7 +123,9 @@ pub struct Cluster<P: Protocol> {
 
 /// Dispatch steps between telemetry samples on the loopback clusters.
 /// The loopback harness has no clock, so the sequence counter paces the
-/// gauges; 64 keeps the lock-table scan off the hot path.
+/// gauges; 64 keeps the per-node observations off the hot path (the
+/// lock-table read itself is O(1)). Changing the pace changes every
+/// recorded gauge series.
 const LOOPBACK_SAMPLE_STEPS: u64 = 64;
 
 /// Lease duration on the loopback clusters, in the step-counter "clock".
@@ -441,40 +445,22 @@ impl<P: Protocol> Cluster<P> {
     }
 
     fn sample_gauges(&mut self) {
-        match self.router.map().cloned() {
-            Some(map) => {
-                for (i, e) in self.engines.iter().enumerate() {
-                    let by_shard = e.locked_records_by_shard(&map);
-                    for s in map.shards_on(NodeId(i as u16)) {
-                        let n = by_shard.get(&s.0).copied().unwrap_or(0);
-                        self.gauges.observe_shard(
-                            GaugeKind::LockTableSize,
-                            i as u32,
-                            s.0,
-                            n as u64,
-                        );
-                    }
-                }
-                for (&shard, &n) in &self.inflight_by_shard {
-                    self.gauges
-                        .observe_shard(GaugeKind::InflightTxs, GAUGE_NODE_ALL, shard, n);
-                }
+        let map = self.router.map();
+        for (i, e) in self.engines.iter().enumerate() {
+            observe_lock_table(e, &mut self.gauges, NodeId(i as u16), map);
+        }
+        if map.is_some() {
+            for (&shard, &n) in &self.inflight_by_shard {
+                self.gauges
+                    .observe_shard(GaugeKind::InflightTxs, GAUGE_NODE_ALL, shard, n);
             }
-            None => {
-                for (i, e) in self.engines.iter().enumerate() {
-                    self.gauges.observe(
-                        GaugeKind::LockTableSize,
-                        i as u32,
-                        e.locked_records() as u64,
-                    );
-                }
-                let done: u64 = self.completions.len() as u64;
-                self.gauges.observe(
-                    GaugeKind::InflightTxs,
-                    GAUGE_NODE_ALL,
-                    (self.next_req - 1).saturating_sub(done),
-                );
-            }
+        } else {
+            let done: u64 = self.completions.len() as u64;
+            self.gauges.observe(
+                GaugeKind::InflightTxs,
+                GAUGE_NODE_ALL,
+                (self.next_req - 1).saturating_sub(done),
+            );
         }
         self.gauges.observe(
             GaugeKind::HostSendQueue,

@@ -485,7 +485,7 @@ impl ONodeEngine {
     /// PCIe or network traffic flows. Older-than-current entries are
     /// ignored. Mirrors `NodeEngine::install_recovered`.
     pub fn install_recovered(&mut self, key: Key, ts: Ts, value: Value) {
-        let rec = self.store.record_mut(key);
+        let mut rec = self.store.record_mut(key);
         if ts >= rec.meta.volatile_ts {
             rec.value = value;
             rec.meta.raise_volatile(ts);
@@ -531,7 +531,6 @@ impl ONodeEngine {
     /// Records currently holding an RDLock or WRLock (the lock-table
     /// resource gauge).
     #[must_use]
-    #[inline]
     pub fn locked_records(&self) -> usize {
         self.store.locked_records()
     }

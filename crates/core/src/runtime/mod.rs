@@ -57,7 +57,7 @@ mod router;
 
 pub use batch::{BatchPolicy, Batched, FrameTransport, TransportCounters};
 pub use chaos::{ChaosNet, ChaosState};
-pub use protocol::{Completion, Counters, Handler, Immediate, Protocol};
+pub use protocol::{observe_lock_table, Completion, Counters, Handler, Immediate, Protocol};
 pub use router::ShardRouter;
 
 use crate::event::{Action, DelayClass, Event, MetaOp, ReqId};

@@ -19,7 +19,7 @@
 use super::{ActionSink, DispatchStats, Dispatcher, ODispatchStats, OSink, Transport};
 use crate::baseline::{CoordTxView, NodeEngine};
 use crate::event::{Action, DelayClass, Event, ReqId};
-use crate::obs::{OpKind, TraceEvent};
+use crate::obs::{GaugeKind, GaugeSet, OpKind, TraceEvent};
 use crate::offload::{OAction, OEvent, ONodeEngine, PcieMsg, Side};
 use minos_types::wire::TraceCtx;
 use minos_types::{DdpModel, Key, Message, NodeId, RecordMeta, ScopeId, ShardMap, Ts, Value};
@@ -52,6 +52,29 @@ impl Counters for ODispatchStats {
 
     fn wire_msgs(&self) -> u64 {
         self.sends + self.fanouts
+    }
+}
+
+/// Samples `engine`'s lock-table gauge as node `node`: one node-wide
+/// sample when unsharded; under `map`, one sample per shard `node`
+/// hosts, with an explicit zero for a hosted shard holding no locks.
+/// Every harness's gauge sampler (DES, loopback, the live node core)
+/// goes through here.
+pub fn observe_lock_table<P: Protocol>(
+    engine: &P,
+    gauges: &mut GaugeSet,
+    node: NodeId,
+    map: Option<&ShardMap>,
+) {
+    let id = u32::from(node.0);
+    let Some(map) = map else {
+        gauges.observe(GaugeKind::LockTableSize, id, engine.locked_records() as u64);
+        return;
+    };
+    let by_shard = engine.locked_records_by_shard(map);
+    for sh in map.shards_on(node) {
+        let n = by_shard.get(&sh.0).copied().unwrap_or(0);
+        gauges.observe_shard(GaugeKind::LockTableSize, id, sh.0, n as u64);
     }
 }
 

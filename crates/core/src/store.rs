@@ -2,7 +2,9 @@
 
 use minos_types::{Key, NodeId, Record, RecordMeta, ShardMap, Ts, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// The volatile, node-local view of every record plus timestamp-issuing
 /// state.
@@ -10,7 +12,7 @@ use std::collections::BTreeMap;
 /// Records are created lazily with zeroed metadata and an empty value, so a
 /// cluster does not need a loading phase; `minos-kv` pre-populates the
 /// store for YCSB-style workloads.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Store {
     records: BTreeMap<Key, Record>,
     /// Highest version this node has issued per key. The paper issues
@@ -18,6 +20,62 @@ pub struct Store {
     /// node could then collide, so we additionally floor on the last
     /// locally-issued version (documented in DESIGN.md §1).
     last_issued: BTreeMap<Key, u32>,
+    /// Keys whose record holds an RDLock or WRLock — the lock-table
+    /// gauge, kept exact by [`RecordMut`]'s drop and by [`Store::load`].
+    locked: BTreeSet<Key>,
+}
+
+/// `locked` is a function of `records`, so hashing it would add nothing;
+/// leaving it out keeps state fingerprints (the model checker's visited
+/// set) what they were before the index existed.
+impl Hash for Store {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.records.hash(state);
+        self.last_issued.hash(state);
+    }
+}
+
+/// Whether `meta` counts toward the lock-table gauge.
+fn holds_lock(meta: &RecordMeta) -> bool {
+    meta.rd_lock_owner.is_some() || meta.wr_lock
+}
+
+/// Mutable access to one record, from [`Store::record_mut`]. On drop it
+/// brings the store's locked-key index up to date when the record's lock
+/// state changed while it was held.
+#[derive(Debug)]
+pub struct RecordMut<'a> {
+    key: Key,
+    record: &'a mut Record,
+    locked: &'a mut BTreeSet<Key>,
+    was_locked: bool,
+}
+
+impl Deref for RecordMut<'_> {
+    type Target = Record;
+
+    fn deref(&self) -> &Record {
+        self.record
+    }
+}
+
+impl DerefMut for RecordMut<'_> {
+    fn deref_mut(&mut self) -> &mut Record {
+        self.record
+    }
+}
+
+impl Drop for RecordMut<'_> {
+    fn drop(&mut self) {
+        let now = holds_lock(&self.record.meta);
+        if now != self.was_locked {
+            if now {
+                self.locked.insert(self.key);
+            } else {
+                self.locked.remove(&self.key);
+            }
+        }
+    }
 }
 
 impl Store {
@@ -27,9 +85,10 @@ impl Store {
         Store::default()
     }
 
-    /// Pre-populates `key` with `value` (metadata zeroed).
+    /// Pre-populates `key` with `value` (metadata zeroed, so unlocked).
     pub fn load(&mut self, key: Key, value: Value) {
         self.records.insert(key, Record::new(key, value));
+        self.locked.remove(&key);
     }
 
     /// Read-only access to a record's metadata (zeroed default if the
@@ -39,11 +98,20 @@ impl Store {
         self.records.get(&key).map(|r| r.meta).unwrap_or_default()
     }
 
-    /// Mutable access to a record, creating it lazily.
-    pub fn record_mut(&mut self, key: Key) -> &mut Record {
-        self.records
+    /// Mutable access to a record, creating it lazily. The guard keeps
+    /// the lock-table index exact when it drops.
+    pub fn record_mut(&mut self, key: Key) -> RecordMut<'_> {
+        let record = self
+            .records
             .entry(key)
-            .or_insert_with(|| Record::new(key, Value::new()))
+            .or_insert_with(|| Record::new(key, Value::new()));
+        let was_locked = holds_lock(&record.meta);
+        RecordMut {
+            key,
+            record,
+            locked: &mut self.locked,
+            was_locked,
+        }
     }
 
     /// Read-only access to a record, if present.
@@ -65,7 +133,7 @@ impl Store {
     /// Applies a local-write: raises `volatileTS` and stores the value.
     /// Callers must have passed the obsoleteness check.
     pub fn apply_local_write(&mut self, key: Key, ts: Ts, value: Value) {
-        let rec = self.record_mut(key);
+        let mut rec = self.record_mut(key);
         rec.meta.raise_volatile(ts);
         rec.value = value;
     }
@@ -77,25 +145,21 @@ impl Store {
 
     /// Records whose metadata currently holds an RDLock or WRLock — the
     /// lock-table-size resource gauge
-    /// ([`GaugeKind::LockTableSize`](crate::obs::GaugeKind)).
+    /// ([`GaugeKind::LockTableSize`](crate::obs::GaugeKind)). O(1): the
+    /// size of the locked-key index.
     #[must_use]
-    #[inline]
     pub fn locked_records(&self) -> usize {
-        self.records
-            .values()
-            .filter(|r| r.meta.rd_lock_owner.is_some() || r.meta.wr_lock)
-            .count()
+        self.locked.len()
     }
 
     /// Locked records grouped by the shard each key hashes to under
-    /// `map`; shards with no locked records are omitted.
+    /// `map`; shards with no locked records are omitted. Walks only the
+    /// locked keys.
     #[must_use]
     pub fn locked_records_by_shard(&self, map: &ShardMap) -> BTreeMap<u32, usize> {
         let mut by_shard = BTreeMap::new();
-        for (key, r) in &self.records {
-            if r.meta.rd_lock_owner.is_some() || r.meta.wr_lock {
-                *by_shard.entry(map.shard_of(*key).0).or_insert(0) += 1;
-            }
+        for key in &self.locked {
+            *by_shard.entry(map.shard_of(*key).0).or_insert(0) += 1;
         }
         by_shard
     }

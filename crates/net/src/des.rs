@@ -12,7 +12,7 @@ use crate::arch::Arch;
 use crate::driver::{CompletionKind, CompletionRec};
 use crate::timing;
 use minos_core::obs::{GaugeKind, GaugeSet, SharedSink, TraceClock, Tracer, GAUGE_NODE_ALL};
-use minos_core::runtime::{Dispatcher, Handler, Protocol, ShardRouter};
+use minos_core::runtime::{observe_lock_table, Dispatcher, Handler, Protocol, ShardRouter};
 use minos_core::ReqId;
 use minos_sim::{DepthTracker, EventQueue, Resource, Time};
 use minos_types::wire::TraceCtx;
@@ -479,41 +479,23 @@ impl<P: Machine> Sim<P> {
             self.queue.len() as u64,
         );
         P::sample_hw(&mut self.hw, t, &mut self.gauges);
-        match self.router.map().cloned() {
-            Some(map) => {
-                for (i, e) in self.engines.iter().enumerate() {
-                    let by_shard = e.locked_records_by_shard(&map);
-                    for sh in map.shards_on(NodeId(i as u16)) {
-                        let n = by_shard.get(&sh.0).copied().unwrap_or(0);
-                        self.gauges.observe_shard(
-                            GaugeKind::LockTableSize,
-                            i as u32,
-                            sh.0,
-                            n as u64,
-                        );
-                    }
-                }
-                for (&shard, &n) in &self.inflight_by_shard {
-                    self.gauges
-                        .observe_shard(GaugeKind::InflightTxs, GAUGE_NODE_ALL, shard, n);
-                }
+        let map = self.router.map();
+        for (i, e) in self.engines.iter().enumerate() {
+            observe_lock_table(e, &mut self.gauges, NodeId(i as u16), map);
+        }
+        if map.is_some() {
+            for (&shard, &n) in &self.inflight_by_shard {
+                self.gauges
+                    .observe_shard(GaugeKind::InflightTxs, GAUGE_NODE_ALL, shard, n);
             }
-            None => {
-                for (i, e) in self.engines.iter().enumerate() {
-                    self.gauges.observe(
-                        GaugeKind::LockTableSize,
-                        i as u32,
-                        e.locked_records() as u64,
-                    );
-                }
-                let issued = self.next_req - 1;
-                let done = self.drained + self.completions.len() as u64;
-                self.gauges.observe(
-                    GaugeKind::InflightTxs,
-                    GAUGE_NODE_ALL,
-                    issued.saturating_sub(done),
-                );
-            }
+        } else {
+            let issued = self.next_req - 1;
+            let done = self.drained + self.completions.len() as u64;
+            self.gauges.observe(
+                GaugeKind::InflightTxs,
+                GAUGE_NODE_ALL,
+                issued.saturating_sub(done),
+            );
         }
     }
 

@@ -30,6 +30,11 @@ mod minos_types_shard_imports {
     pub use std::str::FromStr;
 }
 
+/// Largest `S × K` an `"SxK"` spec may ask for: the map holds one entry
+/// per replica slot, so a typo like `4000000000x1` is refused instead of
+/// allocated.
+const MAX_SPEC_PLACEMENTS: u64 = 1 << 20;
+
 /// Identifier of one key-space partition.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -379,6 +384,11 @@ impl ShardMap {
                 "placement spec {spec:?} is out of range for {n_nodes} nodes"
             ));
         }
+        if u64::from(shards) * u64::from(replicas) > MAX_SPEC_PLACEMENTS {
+            return Err(format!(
+                "placement spec {spec:?} asks for more than {MAX_SPEC_PLACEMENTS} replica slots"
+            ));
+        }
         Ok(ShardMap::uniform(shards, n_nodes, replicas))
     }
 }
@@ -452,9 +462,13 @@ impl FromStr for ShardMap {
             return Err("placement codec: empty group".into());
         }
         for g in &groups {
+            let mut seen = BTreeSet::new();
             for n in g {
                 if n.0 as usize >= nodes {
                     return Err(format!("placement codec: node {n} out of range"));
+                }
+                if !seen.insert(n) {
+                    return Err(format!("placement codec: node {n} listed twice in a group"));
                 }
             }
         }
@@ -572,6 +586,7 @@ mod tests {
         assert!(ShardMap::parse_spec("0x4", 64).is_err());
         assert!(ShardMap::parse_spec("4x9", 8).is_err());
         assert!(ShardMap::parse_spec("garbage", 8).is_err());
+        assert!(ShardMap::parse_spec("4294967295x1", 8).is_err());
     }
 
     #[test]
